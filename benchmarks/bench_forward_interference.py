@@ -53,7 +53,7 @@ def run_forward_matrix():
     outcomes = with_runner(lambda runner: runner.run_outcomes(specs))
     assert all(o.ok for o in outcomes), [o.status for o in outcomes if not o.ok]
     by_cell = {}
-    for spec, outcome in zip(specs, outcomes):
+    for spec, outcome in zip(specs, outcomes, strict=False):
         by_cell[(spec.victim, spec.scheme, spec.secret)] = outcome.summary
     matrix = {}
     for victim in FORWARD_VICTIMS:

@@ -37,7 +37,7 @@ def transmit(attack, label, repetitions=3):
     received = [
         attack.send_bit_with_retries(bit, repetitions).received for bit in bits
     ]
-    errors = sum(1 for s, r in zip(bits, received) if s != r)
+    errors = sum(1 for s, r in zip(bits, received, strict=False) if s != r)
     print(f"  [{label}] sent     : {MESSAGE!r} = {bits}")
     print(f"  [{label}] received : {from_bits(received)!r} = {received}")
     print(f"  [{label}] bit errors: {errors}/{len(bits)}\n")

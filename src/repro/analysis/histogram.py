@@ -69,7 +69,7 @@ def ascii_histogram(
     hi = max(all_samples) + bin_width
     markers = "#*o+x"
     lines = [title] if title else []
-    for marker, (name, hist) in zip(markers, series.items()):
+    for marker, (name, hist) in zip(markers, series.items(), strict=False):
         lines.append(
             f"  {marker} {name}: n={hist.count} mean={hist.mean:.1f} "
             f"sd={hist.stdev:.1f}"
@@ -80,7 +80,7 @@ def ascii_histogram(
     peak = max(max(b.values(), default=1) for b in binned.values()) or 1
     for start in range(lo, hi, bin_width):
         row = f"{start:7d} |"
-        for marker, name in zip(markers, series):
+        for marker, name in zip(markers, series, strict=False):
             count = binned[name].get(start, 0)
             bar = int(round(count / peak * width))
             row += marker * bar + " "

@@ -976,8 +976,8 @@ def _run_cohort(
     # the memory image (and secret) are identical, and every lane shares
     # the leader's seed whenever the seed matters (stream-dependent
     # groups cohort per seed; stream-inert seeds are relabeled).
-    state = BatchState.from_snapshots(
-        hierarchy, [hierarchy.capture()] * len(lane_specs)
+    state = BatchState.from_snapshot(
+        hierarchy, hierarchy.capture(), len(lane_specs)
     )
     mirror = LockstepMirror(
         machine,

@@ -2,11 +2,12 @@
 
 :class:`BatchState` holds the memory-system state of N sweep *lanes* as
 numpy arrays keyed by lane index.  The layout spec is the Snapshot
-protocol: ``BatchState.from_snapshots(hierarchy, captures)`` ingests the
-exact flat tuples produced by ``CacheHierarchy.capture()``, and
-``to_snapshot(lane)`` reproduces them bit-for-bit — the round trip is
-property-tested for every replacement policy, so the SoA layout can
-never silently drift from the scalar capture schema.
+protocol: ``BatchState.from_snapshot(hierarchy, capture, n_lanes)``
+loads every lane from the exact flat tuple produced by
+``CacheHierarchy.capture()``, and ``to_snapshot(lane)`` reproduces it
+bit-for-bit — the round trip is property-tested for every replacement
+policy, so the SoA layout can never silently drift from the scalar
+capture schema.
 
 Array layout per cache level (10 caches in ``all_caches()`` order):
 
@@ -25,7 +26,7 @@ simulations, not vectorizing dictionary writes.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.batch._numpy import np, require_numpy
 from repro.memory.cache import Cache
@@ -37,6 +38,17 @@ from repro.memory.mshr import MSHRFile
 #: QLRU constants mirrored from :mod:`repro.memory.qlru`.
 QLRU_MAX_AGE = 3
 QLRU_INSERT_AGE = 1
+
+#: Per-policy ``SetPolicy.snapshot_state()`` fields, in their (sorted)
+#: snapshot order, each with the :class:`LaneCache` array mirroring it.
+POLICY_FIELDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "lru": (("_last_use", "pol_last_use"), ("_stamp", "pol_stamp")),
+    "nru": (("_ref", "pol_ref"),),
+    "srrip": (("_rrpv", "pol_rrpv"),),
+    "plru": (("_bits", "pol_bits"),),
+    "qlru": (("_age", "pol_age"),),
+    "random": (),
+}
 
 
 class BatchSchemaError(RuntimeError):
@@ -104,63 +116,49 @@ class LaneCache:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_captures(
-        cls, template: Cache, captures: Sequence[Tuple]
+    def from_capture(
+        cls, template: Cache, capture: Tuple, n_lanes: int
     ) -> "LaneCache":
-        """Build the SoA from per-lane ``Cache.capture()`` tuples."""
-        lc = cls(template, len(captures))
-        for lane, (sets_state, stats) in enumerate(captures):
-            if len(sets_state) != lc.total_sets:
-                raise BatchSchemaError(
-                    f"{lc.name}: capture has {len(sets_state)} sets, "
-                    f"geometry says {lc.total_sets}"
-                )
-            for s, (lines, policy_state) in enumerate(sets_state):
-                lc.lines[lane, s, :] = [
-                    -1 if line is None else line for line in lines
-                ]
-                lc._load_policy_state(lane, s, policy_state)
-            lc.stats[lane, :] = stats
-        return lc
+        """Build the SoA with every lane loaded from one
+        ``Cache.capture()`` tuple.
 
-    def _load_policy_state(
-        self, lane: int, s: int, state: Tuple
-    ) -> None:
-        fields: Dict[str, Any] = dict(state)
-        if self.policy == "lru":
-            self.pol_stamp[lane, s] = fields.pop("_stamp")
-            self.pol_last_use[lane, s, :] = fields.pop("_last_use")
-        elif self.policy == "nru":
-            self.pol_ref[lane, s, :] = fields.pop("_ref")
-        elif self.policy == "srrip":
-            self.pol_rrpv[lane, s, :] = fields.pop("_rrpv")
-        elif self.policy == "plru":
-            self.pol_bits[lane, s, :] = fields.pop("_bits")
-        elif self.policy == "qlru":
-            self.pol_age[lane, s, :] = fields.pop("_age")
-        if fields:
+        Each field is converted to an array once and copied into every
+        lane's rows, so lanes own their rows (no broadcast views).
+        """
+        lc = cls(template, n_lanes)
+        sets_state, stats = capture
+        if len(sets_state) != lc.total_sets:
             raise BatchSchemaError(
-                f"{self.name}: unexpected policy snapshot fields "
-                f"{sorted(fields)} for policy {self.policy!r}"
+                f"{lc.name}: capture has {len(sets_state)} sets, "
+                f"geometry says {lc.total_sets}"
             )
+        fields = POLICY_FIELDS[lc.policy]
+        expected = tuple(name for name, _ in fields)
+        columns: Tuple[List[Any], ...] = tuple([] for _ in fields)
+        lines: List[List[Any]] = []
+        for set_lines, policy_state in sets_state:
+            lines.append([-1 if line is None else line for line in set_lines])
+            names = tuple(name for name, _ in policy_state)
+            if names != expected:
+                raise BatchSchemaError(
+                    f"{lc.name}: policy snapshot fields {list(names)} for "
+                    f"policy {lc.policy!r}, expected {list(expected)}"
+                )
+            for column, (_, value) in zip(columns, policy_state, strict=True):
+                column.append(value)
+        lc.lines[:] = lines
+        for (_, attr), column in zip(fields, columns, strict=True):
+            getattr(lc, attr)[:] = column
+        lc.stats[:] = stats
+        return lc
 
     # ------------------------------------------------------------------
     def _policy_snapshot(self, lane: int, s: int) -> Tuple:
         """Reproduce ``SetPolicy.snapshot_state()`` (sorted name order)."""
-        if self.policy == "lru":
-            return (
-                ("_last_use", self.pol_last_use[lane, s, :].tolist()),
-                ("_stamp", int(self.pol_stamp[lane, s])),
-            )
-        if self.policy == "nru":
-            return (("_ref", self.pol_ref[lane, s, :].tolist()),)
-        if self.policy == "srrip":
-            return (("_rrpv", self.pol_rrpv[lane, s, :].tolist()),)
-        if self.policy == "plru":
-            return (("_bits", self.pol_bits[lane, s, :].tolist()),)
-        if self.policy == "qlru":
-            return (("_age", self.pol_age[lane, s, :].tolist()),)
-        return ()
+        return tuple(
+            (name, getattr(self, attr)[lane, s].tolist())
+            for name, attr in POLICY_FIELDS[self.policy]
+        )
 
     def to_snapshot(self, lane: int) -> Tuple:
         """Exact ``Cache.capture()`` tuple for one lane."""
@@ -212,39 +210,40 @@ class BatchState:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_snapshots(
-        cls, hierarchy: CacheHierarchy, captures: Sequence[Tuple]
+    def from_snapshot(
+        cls, hierarchy: CacheHierarchy, capture: Tuple, n_lanes: int
     ) -> "BatchState":
-        """Ingest per-lane ``CacheHierarchy.capture()`` tuples."""
-        state = cls(hierarchy, len(captures))
-        templates = hierarchy.all_caches()
-        for j, template in enumerate(templates):
+        """Load ``n_lanes`` lanes, each from the one
+        ``CacheHierarchy.capture()`` tuple ``capture``."""
+        state = cls(hierarchy, n_lanes)
+        caches, memory, mshrs, log, coherence, rng_state = capture
+        for template, cache_capture in zip(
+            hierarchy.all_caches(), caches, strict=True
+        ):
             state.caches.append(
-                LaneCache.from_captures(
-                    template, [capture[0][j] for capture in captures]
-                )
+                LaneCache.from_capture(template, cache_capture, n_lanes)
             )
-        for lane, capture in enumerate(captures):
-            _caches, memory, mshrs, log, coherence, rng_state = capture
-            data, stream_state, reads, writes = memory
-            seed, last_cycle, last_core, seq = stream_state
+        data, stream_state, reads, writes = memory
+        seed, last_cycle, last_core, seq = stream_state
+        state.stream_seed[:] = seed
+        state.stream_cycle[:] = last_cycle
+        state.stream_core[:] = last_core
+        state.stream_seq[:] = seq
+        state.mem_reads[:] = reads
+        state.mem_writes[:] = writes
+        sharers = None
+        if coherence is not None:
+            sharers, coh_stats = coherence
+            state.coh_stats[:] = coh_stats
+        for _ in range(n_lanes):
             state.mem_data.append(dict(data))
-            state.stream_seed[lane] = seed
-            state.stream_cycle[lane] = last_cycle
-            state.stream_core[lane] = last_core
-            state.stream_seq[lane] = seq
-            state.mem_reads[lane] = reads
-            state.mem_writes[lane] = writes
             state.mshrs.append(mshrs)
             state.visible_log.append(list(log))
-            if coherence is None:
-                state.coherence.append(None)
-            else:
-                sharers, coh_stats = coherence
-                state.coherence.append(
-                    {line: dict(entry) for line, entry in sharers}
-                )
-                state.coh_stats[lane, :] = coh_stats
+            state.coherence.append(
+                None
+                if sharers is None
+                else {line: dict(entry) for line, entry in sharers}
+            )
             rng = random.Random()
             rng.setstate(rng_state)
             state.policy_rng.append(rng)

@@ -52,7 +52,7 @@ class ExfiltrationReport:
     def byte_accuracy(self) -> float:
         if not self.sent:
             return 1.0
-        matches = sum(1 for a, b in zip(self.sent, self.received) if a == b)
+        matches = sum(1 for a, b in zip(self.sent, self.received, strict=False) if a == b)
         return matches / len(self.sent)
 
     @property

@@ -109,7 +109,7 @@ class NonInterferenceReport:
 
     def divergence(self) -> Optional[int]:
         """Index of the first differing element, or None."""
-        for idx, (a, b) in enumerate(zip(self.spec_trace, self.nospec_trace)):
+        for idx, (a, b) in enumerate(zip(self.spec_trace, self.nospec_trace, strict=False)):
             if a != b:
                 return idx
         if len(self.spec_trace) != len(self.nospec_trace):

@@ -62,7 +62,7 @@ class SecretSpace:
             self,
             "_assignments",
             tuple(
-                tuple(zip(names, combo)) for combo in combos
+                tuple(zip(names, combo, strict=False)) for combo in combos
             ),
         )
 

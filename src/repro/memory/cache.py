@@ -275,7 +275,7 @@ class Cache:
 
     def restore(self, state: Tuple) -> None:
         sets_state, stats = state
-        for cset, (lines, policy_state) in zip(self._sets, sets_state):
+        for cset, (lines, policy_state) in zip(self._sets, sets_state, strict=False):
             cset.lines[:] = lines
             cset.policy.restore_state(policy_state)
         (

@@ -381,10 +381,10 @@ class CacheHierarchy:
 
     def restore(self, state: Tuple) -> None:
         caches, memory, mshrs, log, coherence, rng_state = state
-        for cache, cache_state in zip(self.all_caches(), caches):
+        for cache, cache_state in zip(self.all_caches(), caches, strict=False):
             cache.restore(cache_state)
         self.memory.restore(memory)
-        for mshr_file, mshr_state in zip(self.l1d_mshrs, mshrs):
+        for mshr_file, mshr_state in zip(self.l1d_mshrs, mshrs, strict=False):
             mshr_file.restore(mshr_state)
         # Slice-assign: the harness and agents hold index bookmarks into
         # this exact list object.

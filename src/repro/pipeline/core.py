@@ -30,7 +30,7 @@ from repro.pipeline.dyninstr import (
 from repro.pipeline.execution_unit import CommonDataBus, ExecutionUnit
 from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.reservation_station import ReservationStation
-from repro.pipeline.rob import ROB, SafetyFlags
+from repro.pipeline.rob import ROB, SafetyFrontier
 from repro.pipeline.scheme_api import SpeculationScheme, is_safe
 from repro.trace.bus import Tracer
 from repro.trace.events import EventKind
@@ -152,7 +152,8 @@ class Core:
         self.cycle = 0
         self.halted = False
         self.stats = CoreStats()
-        self.safety_flags: Dict[int, SafetyFlags] = {}
+        #: The ROB's safety frontier at the start of the current cycle.
+        self.safety_flags: SafetyFrontier = self.rob.safety_flags()
 
         # frontend state
         self._seq = 0
@@ -291,16 +292,16 @@ class Core:
         if head is not None and head.phase is Phase.COMPLETED:
             return None
         # A load would transition to safe (on_load_safe side effects).
-        model = self.scheme.safety
+        # Safety is monotone in age, so the oldest load not yet safe is
+        # the only candidate.
         flags_map = self.rob.safety_flags()
-        for entry in self.rob:
-            if entry.phase is Phase.SQUASHED:
+        for load in self.rob.loads:
+            if load.became_safe:
                 continue
-            if not entry.is_load or entry.became_safe:
-                continue
-            flags = flags_map.get(entry.seq)
-            if flags is not None and is_safe(model, flags):
+            flags = flags_map.get(load.seq)
+            if flags is not None and is_safe(self.scheme.safety, flags):
                 return None
+            break
         # The implicit-halt condition would fire.
         if (
             self.rob.empty
@@ -329,8 +330,9 @@ class Core:
             if not self.lsu.parked_load_keeps_waiting(self, load):
                 return None
         # Nothing in the RS may be able to issue.
-        for instr in self.rs.waiting_sorted():
-            if not self._issue_blocked_next_cycle(instr, flags_map):
+        oldest_fence = self._oldest_fence()
+        for instr in self.rs:
+            if not self._issue_blocked_next_cycle(instr, flags_map, oldest_fence):
                 return None
         # Dispatch must be blocked (or have nothing to do).
         if self.fetch_queue:
@@ -369,7 +371,10 @@ class Core:
         return wake
 
     def _issue_blocked_next_cycle(
-        self, instr: DynInstr, flags_map: Dict[int, SafetyFlags]
+        self,
+        instr: DynInstr,
+        flags_map: SafetyFrontier,
+        oldest_fence: Optional[int],
     ) -> bool:
         """Side-effect-free: True when ``instr`` provably cannot issue
         next cycle.  Mirrors the checks in :meth:`_issue` in order."""
@@ -380,7 +385,7 @@ class Core:
                 if occupant is not None and occupant.seq > instr.seq:
                     return False  # preemption might fire: simulate it
             return True
-        if self._blocked_by_fence(instr.seq):
+        if oldest_fence is not None and oldest_fence < instr.seq:
             return True
         for src in instr.sources:
             if src.producer_seq is None or src.value is not None:
@@ -443,26 +448,32 @@ class Core:
 
         A load's safety may also require all older loads to already be
         safe (enforced implicitly: prefix flags only improve with age).
+        The same monotonicity ends the walk at the first load that is
+        still speculative: no younger load can be safe.
         """
         model = self.scheme.safety
-        # Snapshot: on_load_safe may squash (value-prediction replay),
-        # mutating the ROB under us.
-        for entry in list(self.rob):
-            if entry.phase is Phase.SQUASHED:
+        frontier = self.safety_flags
+        loads = self.rob.loads
+        # Walk by position: on_load_safe may squash (value-prediction
+        # replay), dropping younger loads from the index under us.
+        i = 0
+        while i < len(loads):
+            entry = loads[i]
+            i += 1
+            if entry.became_safe:
                 continue
-            if not entry.is_load or entry.became_safe:
-                continue
-            flags = self.safety_flags.get(entry.seq)
-            if flags is not None and is_safe(model, flags):
-                entry.became_safe = True
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        EventKind.SCHEME_SAFE,
-                        cycle=self.cycle,
-                        seq=entry.seq,
-                        instr=entry.name,
-                    )
-                self.scheme.on_load_safe(self, entry)
+            flags = frontier.get(entry.seq)
+            if flags is None or not is_safe(model, flags):
+                return
+            entry.became_safe = True
+            if self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.SCHEME_SAFE,
+                    cycle=self.cycle,
+                    seq=entry.seq,
+                    instr=entry.name,
+                )
+            self.scheme.on_load_safe(self, entry)
 
     # ==================================================================
     # retire
@@ -634,15 +645,15 @@ class Core:
         eus = self.eus
         scheme_may_issue = self.scheme.may_issue
         flags_get = self.safety_flags.get
-        blocked_by_fence = self._blocked_by_fence
         sources_ready = self._sources_ready
+        oldest_fence = self._oldest_fence()
         for instr in self.rs.waiting_sorted():
+            if oldest_fence is not None and oldest_fence < instr.seq:
+                break  # this entry and every younger one wait on the fence
             eu = eus[instr.static.port]
             if not eu.can_accept(cycle):
                 if not self._try_preempt(eu, instr):
                     continue
-            if blocked_by_fence(instr.seq):
-                continue
             if not sources_ready(instr):
                 continue
             flags = flags_get(instr.seq)
@@ -652,13 +663,14 @@ class Core:
 
     def _try_preempt(self, eu: ExecutionUnit, instr: DynInstr) -> bool:
         """§5.4 'squashable EU': evict a younger occupant for an older,
-        ready instruction (only when the scheme opts in)."""
+        ready instruction (only when the scheme opts in).  The caller has
+        checked that no pending fence blocks ``instr``."""
         if not self.scheme.preempt_eus or eu.config.pipelined:
             return False
         occupant = eu.current_occupant()
         if occupant is None or occupant.seq <= instr.seq:
             return False
-        if self._blocked_by_fence(instr.seq) or not self._sources_ready(instr):
+        if not self._sources_ready(instr):
             return False
         eu.abort(occupant)
         occupant.phase = Phase.DISPATCHED
@@ -666,8 +678,10 @@ class Core:
         self.stats.eu_preemptions += 1
         return eu.can_accept(self.cycle)
 
-    def _blocked_by_fence(self, seq: int) -> bool:
-        return any(f < seq for f in self._fences)
+    def _oldest_fence(self) -> Optional[int]:
+        """Seq of the oldest pending fence; every younger instruction
+        waits for it to retire."""
+        return min(self._fences) if self._fences else None
 
     def _sources_ready(self, instr: DynInstr) -> bool:
         scoreboard_get = self._scoreboard.get
@@ -1014,13 +1028,13 @@ class Core:
         resolve = instrs.__getitem__
         self.cycle = cycle
         self.halted = halted
-        for name, value in zip(CORE_STAT_FIELDS, stats):
+        for name, value in zip(CORE_STAT_FIELDS, stats, strict=False):
             setattr(self.stats, name, value)
         self.regfile.clear()
         self.regfile.update(regfile)
         self.rob.restore(rob_state, resolve)
         self.rs.restore(rs_state, resolve)
-        for eu, eu_state in zip(self.eus, eus_state):
+        for eu, eu_state in zip(self.eus, eus_state, strict=False):
             eu.restore(eu_state, resolve)
         self.cdb.restore(cdb_state, resolve)
         self.lsu.restore(lsu_state, resolve)

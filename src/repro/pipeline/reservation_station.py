@@ -10,13 +10,23 @@ holding slots until retirement via :attr:`hold_until_nonspec`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right, insort
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.pipeline.dyninstr import DynInstr
 
 
+def _seq(instr: DynInstr) -> int:
+    return instr.seq
+
+
 class ReservationStation:
-    """Bounded pool of waiting instructions, scanned oldest-first."""
+    """Bounded pool of waiting instructions, scanned oldest-first.
+
+    Waiting entries are kept in seq order as they are inserted.  Dispatch
+    inserts in program order, so an insert is an append; the one older
+    arrival is an occupant that §5.4 preemption sends back.
+    """
 
     def __init__(self, size: int) -> None:
         if size < 1:
@@ -50,14 +60,22 @@ class ReservationStation:
     def insert(self, instr: DynInstr) -> None:
         if not self.can_accept(instr):
             raise RuntimeError("reservation station overflow")
-        self._entries.append(instr)
+        entries = self._entries
+        if not entries or entries[-1].seq < instr.seq:
+            entries.append(instr)
+        else:
+            insort(entries, instr, key=_seq)
         self._occupied += instr.static.micro_ops
         self.peak_occupancy = max(self.peak_occupancy, self._occupied)
 
     def remove_on_issue(self, instr: DynInstr, *, hold_slot: bool = False) -> None:
         """Issue ``instr``: leave the waiting pool; optionally keep the
         micro-op slots allocated until :meth:`release_held`."""
-        self._entries.remove(instr)
+        entries = self._entries
+        i = bisect_left(entries, instr.seq, key=_seq)
+        if i == len(entries) or entries[i] is not instr:
+            raise ValueError(f"#{instr.seq} is not waiting in the RS")
+        del entries[i]
         if hold_slot:
             self._held[instr.seq] = instr.static.micro_ops
         else:
@@ -70,17 +88,18 @@ class ReservationStation:
             self._occupied -= weight
 
     def squash_younger_than(self, seq: int) -> List[DynInstr]:
-        squashed = [e for e in self._entries if e.seq > seq]
+        cut = bisect_right(self._entries, seq, key=_seq)
+        squashed = self._entries[cut:]
+        del self._entries[cut:]
         for entry in squashed:
-            self._entries.remove(entry)
             self._occupied -= entry.static.micro_ops
         for held_seq in [s for s in self._held if s > seq]:
             self.release_held(held_seq)
         return squashed
 
     def waiting_sorted(self) -> List[DynInstr]:
-        """Entries oldest-first (age-ordered scheduling, §3.2)."""
-        self._entries.sort(key=lambda e: e.seq)
+        """A copy of the entries, oldest-first (age-ordered scheduling,
+        §3.2)."""
         return list(self._entries)
 
     # -- snapshot -------------------------------------------------------
@@ -97,7 +116,7 @@ class ReservationStation:
 
     def restore(self, state: Tuple, resolve: Callable[[int], DynInstr]) -> None:
         seqs, occupied, held, peak = state
-        self._entries = [resolve(seq) for seq in seqs]
+        self._entries = sorted((resolve(seq) for seq in seqs), key=_seq)
         self._occupied = occupied
         self._held = dict(held)
         self.peak_occupancy = peak

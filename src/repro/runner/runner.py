@@ -443,6 +443,7 @@ class SweepRunner:
                 self._execute_outcomes(
                     [specs[i] for i in rest], journal=journal
                 ),
+                strict=False,
             ):
                 outcomes[i] = outcome
         if cache is not None:
@@ -496,14 +497,14 @@ class SweepRunner:
             if reset is not None:
                 reset()
         tally: Dict[str, int] = {}
-        for group, (group_outcomes, ejected) in zip(group_indices, results):
+        for group, (group_outcomes, ejected) in zip(group_indices, results, strict=False):
             if group_outcomes is None:
                 # Group failed wholesale; falls through to fork/cold.
                 tally["failed"] = tally.get("failed", 0) + len(group)
                 continue
             tally["batched"] = tally.get("batched", 0) + len(group)
             tally["ejected"] = tally.get("ejected", 0) + ejected
-            for i, outcome in zip(group, group_outcomes):
+            for i, outcome in zip(group, group_outcomes, strict=False):
                 outcomes[i] = outcome
                 if journal is not None and journal.should_record(outcome):
                     journal.record(outcome)
@@ -539,10 +540,10 @@ class SweepRunner:
             reset = getattr(self, "_reset_pool", None)
             if reset is not None:
                 reset()
-        for group, group_outcomes in zip(group_indices, results):
+        for group, group_outcomes in zip(group_indices, results, strict=False):
             if group_outcomes is None:
                 continue  # probe failed; group falls back to cold
-            for i, outcome in zip(group, group_outcomes):
+            for i, outcome in zip(group, group_outcomes, strict=False):
                 outcomes[i] = outcome
                 if journal is not None and journal.should_record(outcome):
                     journal.record(outcome)
@@ -863,7 +864,7 @@ class ParallelSweepRunner(SweepRunner):
             for fut in done:
                 chunk, _ = futures.pop(fut)
                 try:
-                    for i, outcome in zip(chunk, fut.result()):
+                    for i, outcome in zip(chunk, fut.result(), strict=False):
                         completed[i] = outcome
                 except BrokenExecutor:
                     # A worker died (crash, OOM-kill, injected kill):

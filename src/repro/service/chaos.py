@@ -384,7 +384,7 @@ def chaos_differential(
         "duplicated": duplicated,
         "mismatches": [
             {"index": i, "clean": repr(a), "chaos": repr(b)}
-            for i, (a, b) in enumerate(zip(clean_sig, chaos_sig))
+            for i, (a, b) in enumerate(zip(clean_sig, chaos_sig, strict=False))
             if a != b
         ],
         "daemon_incarnations": harness._incarnations,

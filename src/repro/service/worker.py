@@ -82,7 +82,7 @@ def chunk_worker_main(
     )
     pid = os.getpid()
     leases.heartbeat(lease_id, worker_id, pid=pid)
-    for spec, attempt in zip(specs, attempts):
+    for spec, attempt in zip(specs, attempts, strict=False):
         outcome = cache.get(spec) if cache is not None else None
         fresh = outcome is None
         if outcome is None:

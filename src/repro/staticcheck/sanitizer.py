@@ -12,6 +12,10 @@ cycle boundaries, where every stage has finished its bookkeeping):
 
 * **ROB age ordering** — entry sequence numbers strictly increase from
   head to tail, and no retired entry lingers in the window.
+* **ROB indices** — the in-order load, store and conditional-branch
+  indices behind the safety frontier equal the filtered entries.
+* **RS age ordering** — the waiting list the issue stage scans
+  oldest-first is strictly seq-ascending.
 * **RS slot accounting** — occupied micro-ops equal the sum over waiting
   entries plus held (issued-but-speculative) weights, within capacity.
 * **No MSHR leaks across squash** — every MSHR consumer is a live
@@ -170,6 +174,8 @@ class InvariantSanitizer:
         """Validate every invariant on ``core`` right now."""
         self.cycles_checked += 1
         self._check_rob_order(core)
+        self._check_rob_indices(core)
+        self._check_rs_order(core)
         self._check_rs_accounting(core)
         self._check_mshrs(core)
         self._check_lsu_slots(core)
@@ -192,6 +198,35 @@ class InvariantSanitizer:
             if entry.phase is Phase.RETIRED:
                 self._fail(
                     core, f"retired instruction #{entry.seq} still in ROB"
+                )
+            prev = entry.seq
+
+    def _check_rob_indices(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        rob = core.rob
+        for name, index, keep in (
+            ("load", rob.loads, lambda e: e.is_load),
+            ("store", rob.stores, lambda e: e.is_store),
+            ("branch", rob.branches, lambda e: e.is_branch and not e.static.unconditional),
+        ):
+            expected = [e for e in rob if keep(e)]
+            if len(index) != len(expected) or any(
+                got is not want for got, want in zip(index, expected, strict=True)
+            ):
+                self._fail(
+                    core,
+                    f"ROB {name} index drifted: holds "
+                    f"{[e.seq for e in index]}, entries give "
+                    f"{[e.seq for e in expected]}",
+                )
+
+    def _check_rs_order(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        prev: Optional[int] = None
+        for entry in core.rs:
+            if prev is not None and entry.seq <= prev:
+                self._fail(
+                    core, f"RS age order broken: #{entry.seq} follows #{prev}"
                 )
             prev = entry.seq
 

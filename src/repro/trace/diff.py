@@ -70,7 +70,7 @@ def first_divergence(
 ) -> Optional[Divergence]:
     """Return the first index where the traces differ, or ``None`` when
     they are event-for-event identical."""
-    for i, (a, b) in enumerate(zip(left, right)):
+    for i, (a, b) in enumerate(zip(left, right, strict=False)):
         if a != b:
             return Divergence(i, a, b)
     if len(left) != len(right):

@@ -1,7 +1,7 @@
 """BatchState round-trip properties.
 
 The Snapshot protocol's flat ``capture()`` tuples are the SoA layout
-spec: ``BatchState.from_snapshots([...])`` followed by
+spec: ``BatchState.from_snapshot(hierarchy, snap, n)`` followed by
 ``.to_snapshot(lane)`` must be the identity on every component schema
 (caches under all six replacement policies, main memory, MSHRs,
 coherence directory on and off, sliced LLCs), from any mid-run state.
@@ -15,7 +15,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchState
+from repro.batch import BatchSchemaError, BatchState
+from repro.batch.state import POLICY_FIELDS
 from repro.batch.ops import cache_access, cache_fill
 from repro.core.harness import begin_victim_trial
 from repro.core.victims import victim_by_name
@@ -51,7 +52,7 @@ def test_from_snapshots_to_snapshot_identity(scheme, cycles, lanes, secret):
     the exact snapshot tuple it was loaded from."""
     hierarchy = _mid_run_hierarchy(scheme, cycles, secret=secret)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap] * lanes)
+    state = BatchState.from_snapshot(hierarchy, snap, lanes)
     for lane in range(lanes):
         assert state.to_snapshot(lane) == snap
 
@@ -79,7 +80,7 @@ def test_identity_across_policies_and_coherence(
     )
     hierarchy = _mid_run_hierarchy("unsafe", cycles, config=config)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap, snap])
+    state = BatchState.from_snapshot(hierarchy, snap, 2)
     assert state.to_snapshot(0) == snap
     assert state.to_snapshot(1) == snap
 
@@ -89,7 +90,7 @@ def test_lanes_are_independent():
     the soundness of divergence-ejection rests on this isolation."""
     hierarchy = _mid_run_hierarchy("dom-nontso", 150)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap, snap])
+    state = BatchState.from_snapshot(hierarchy, snap, 2)
     llc = state.caches[-1]  # all_caches() order: the LLC is last
     lane0 = np.array([0], dtype=np.int64)
     line = 0x7F00_0000  # definitely absent: forces a miss then a fill
@@ -99,11 +100,54 @@ def test_lanes_are_independent():
     assert state.to_snapshot(0) != snap
 
 
+def test_every_lane_owns_its_rows():
+    """One capture is copied into every lane: no array may be a
+    broadcast view whose lanes share memory."""
+    hierarchy = _mid_run_hierarchy("unsafe", 120)
+    state = BatchState.from_snapshot(hierarchy, hierarchy.capture(), 3)
+    for cache in state.caches:
+        arrays = [cache.lines, cache.stats] + [
+            getattr(cache, attr) for _, attr in POLICY_FIELDS[cache.policy]
+        ]
+        for array in arrays:
+            assert array.flags.owndata and 0 not in array.strides
+            assert not np.shares_memory(array[0], array[1])
+    assert state.mem_data[0] is not state.mem_data[1]
+    assert state.visible_log[0] is not state.visible_log[1]
+    assert state.policy_rng[0] is not state.policy_rng[1]
+
+
+def _with_first_cache(snap, sets_state):
+    caches, *rest = snap
+    _, stats = caches[0]
+    return ((sets_state, stats),) + tuple(caches[1:]), *rest
+
+
+def test_set_count_mismatch_raises():
+    hierarchy = _mid_run_hierarchy("unsafe", 50)
+    snap = hierarchy.capture()
+    sets_state = snap[0][0][0]
+    bad = _with_first_cache(snap, sets_state[:-1])
+    with pytest.raises(BatchSchemaError, match="sets, geometry says"):
+        BatchState.from_snapshot(hierarchy, bad, 2)
+
+
+def test_policy_field_mismatch_raises():
+    hierarchy = _mid_run_hierarchy("unsafe", 50)
+    snap = hierarchy.capture()
+    sets_state = list(snap[0][0][0])
+    lines, policy_state = sets_state[-1]
+    sets_state[-1] = (lines, policy_state + (("_extra", 0),))
+    bad = _with_first_cache(snap, tuple(sets_state))
+    with pytest.raises(BatchSchemaError, match="policy snapshot fields"):
+        BatchState.from_snapshot(hierarchy, bad, 2)
+
+
 def test_restore_into_round_trips():
     """restore_into() writes a lane's state back into a live hierarchy
     so that a scalar re-capture reproduces the lane snapshot."""
     hierarchy = _mid_run_hierarchy("muontrap", 120)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshots(hierarchy, [snap])
+    state = BatchState.from_snapshot(hierarchy, snap, 1)
     state.restore_into(hierarchy, 0)
     assert hierarchy.capture() == snap

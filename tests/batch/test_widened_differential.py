@@ -187,7 +187,7 @@ def test_probe_matrix_matches_scalar(scheme):
         report = run_batch_group_detailed(specs)
         assert report.ejected == 0, name
         assert report.outcomes == cold, name
-        for spec, outcome in zip(specs, report.outcomes):
+        for spec, outcome in zip(specs, report.outcomes, strict=False):
             summary = outcome.summary
             assert summary.probe_latencies is not None
             assert len(summary.probe_latencies) == len(spec.probe_accesses)
@@ -224,7 +224,7 @@ def test_probe_windows_close_before_the_probe():
         [replace(s, probe_accesses=()) for s in specs]
     )
     cold, _ = _assert_batch_equals_cold(specs)
-    for with_probe, without in zip(cold, bare):
+    for with_probe, without in zip(cold, bare, strict=False):
         assert with_probe.summary.visible == without.summary.visible
         assert (
             with_probe.summary.access_cycle == without.summary.access_cycle

@@ -174,6 +174,54 @@ class TestReservationStationHolding:
         assert rs.peak_occupancy == 2
 
 
+class TestReservationStationOrder:
+    def seqs(self, rs):
+        return [i.seq for i in rs.waiting_sorted()]
+
+    def test_older_insert_lands_in_place(self):
+        rs = ReservationStation(8)
+        for seq in (1, 3, 5):
+            rs.insert(dyn(seq, ins.imm("r", 0)))
+        rs.insert(dyn(2, ins.imm("r", 0)))  # a preempted occupant
+        assert self.seqs(rs) == [1, 2, 3, 5]
+
+    def test_issue_and_squash_keep_order(self):
+        rs = ReservationStation(8)
+        instrs = {seq: dyn(seq, ins.imm("r", 0)) for seq in (1, 2, 4, 7, 9)}
+        for instr in instrs.values():
+            rs.insert(instr)
+        rs.remove_on_issue(instrs[4])
+        assert self.seqs(rs) == [1, 2, 7, 9]
+        assert [i.seq for i in rs.squash_younger_than(5)] == [7, 9]
+        assert self.seqs(rs) == [1, 2]
+        assert rs.occupied_micro_ops == 2
+
+    def test_issuing_an_absent_instruction_raises(self):
+        rs = ReservationStation(8)
+        rs.insert(dyn(1, ins.imm("r", 0)))
+        with pytest.raises(ValueError):
+            rs.remove_on_issue(dyn(1, ins.imm("r", 0)))  # same seq, other object
+
+    def test_restore_sorts(self):
+        rs = ReservationStation(8)
+        instrs = {seq: dyn(seq, ins.imm("r", 0)) for seq in (2, 3, 6)}
+        rs.restore(((6, 2, 3), 3, (), 3), instrs.__getitem__)
+        assert self.seqs(rs) == [2, 3, 6]
+
+    def test_order_holds_every_cycle_through_preemption(self):
+        """§5.4 preemption is the one out-of-order insert."""
+        from repro.core.harness import begin_victim_trial
+        from repro.core.victims import victim_by_name
+
+        setup = begin_victim_trial(victim_by_name("fwd-eu"), "priority", 0)
+        machine, core = setup.machine, setup.core
+        while not core.halted:
+            machine.step()
+            seqs = self.seqs(core.rs)
+            assert seqs == sorted(set(seqs)), machine.cycle
+        assert core.stats.eu_preemptions > 0
+
+
 class TestCDB:
     def test_oldest_first_broadcast(self):
         cdb = CommonDataBus(1)

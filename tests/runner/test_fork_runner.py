@@ -156,7 +156,7 @@ def test_fork_disabled_while_fault_plan_active():
     # path (where fault injection lives) ran instead of the fork path.
     from repro.runner import TrialStatus
 
-    for outcome, ref in zip(outcomes, cold):
+    for outcome, ref in zip(outcomes, cold, strict=False):
         if outcome.scheme == "unsafe" and outcome.secret == 1:
             assert outcome.status is TrialStatus.ERROR
         else:

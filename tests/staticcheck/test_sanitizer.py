@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.harness import run_victim_trial
+from repro.core.harness import begin_victim_trial, run_victim_trial
 from repro.core.victims import victim_by_name
 from repro.pipeline.scheme_api import LoadDecision
 from repro.runner.runner import run_trial_spec
@@ -74,6 +74,31 @@ class TestSeededViolations:
         core._fences.add(10_000)
         with pytest.raises(InvariantViolation, match="fence"):
             result.sanitizer.check_core(core)
+
+    def mid_run_core(self):
+        """A core paused mid-trial, with loads in the ROB and several
+        entries waiting in the RS."""
+        setup = begin_victim_trial(victim_by_name("gdnpeu"), "unsafe", 1)
+        machine, core = setup.machine, setup.core
+        while machine.cycle < 40:
+            machine.step()
+        assert len(core.rob.loads) >= 2 and len(core.rs) >= 2
+        return core
+
+    def test_clean_mid_run_core_passes(self):
+        InvariantSanitizer().check_core(self.mid_run_core())
+
+    def test_rob_index_drift_raises(self):
+        core = self.mid_run_core()
+        core.rob.loads.pop()
+        with pytest.raises(InvariantViolation, match="ROB load index drifted"):
+            InvariantSanitizer().check_core(core)
+
+    def test_rs_out_of_order_raises(self):
+        core = self.mid_run_core()
+        core.rs._entries.reverse()
+        with pytest.raises(InvariantViolation, match="RS age order broken"):
+            InvariantSanitizer().check_core(core)
 
     def test_violation_carries_cycle_and_context(self):
         result = self.run_and_keep_handles()

@@ -74,7 +74,7 @@ def test_generator_is_deterministic(seed):
     b = random_forward_gadget(seed)
     assert a.name == b.name
     assert len(a.program) == len(b.program)
-    for ia, ib in zip(a.program, b.program):
+    for ia, ib in zip(a.program, b.program, strict=False):
         assert ia.name == ib.name
         assert ia.opclass is ib.opclass
         assert ia.latency == ib.latency
