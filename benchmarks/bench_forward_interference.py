@@ -26,10 +26,10 @@ Expected pattern (forward interference breaks invisibility):
 
 import pytest
 
+from repro.core.matrix import leak_signals
 from repro.core.victims import victim_by_name
 from repro.schemes.registry import SCHEME_FACTORIES
 from repro.staticcheck.crossval import reconcile_verdicts, render_reconciliation
-from repro.symni.replay import summary_signals
 from repro.workloads import FORWARD_VICTIMS, ForwardReceiver
 
 from _common import emit_report, sweep_grid, with_runner
@@ -61,7 +61,7 @@ def run_forward_matrix():
         matrix[victim] = {
             scheme: [
                 s.kind
-                for s in summary_signals(
+                for s in leak_signals(
                     vspec,
                     by_cell[(victim, scheme, 0)],
                     by_cell[(victim, scheme, 1)],

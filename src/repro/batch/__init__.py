@@ -25,11 +25,9 @@ from repro.batch.plan import (
     MIN_LANES,
     batch_bypass_reason,
     batch_eligible,
-    effective_dram_jitter,
     group_key,
     plan_batch_groups,
     plan_batch_groups_report,
-    stream_dependent,
 )
 from repro.batch.state import BatchSchemaError, BatchState, LaneCache
 
@@ -45,12 +43,10 @@ __all__ = [
     "MIN_LANES",
     "batch_bypass_reason",
     "batch_eligible",
-    "effective_dram_jitter",
     "group_key",
     "plan_batch_groups",
     "plan_batch_groups_report",
     "require_numpy",
     "run_batch_group",
     "run_batch_group_detailed",
-    "stream_dependent",
 ]

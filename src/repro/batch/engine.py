@@ -47,7 +47,13 @@ from repro.batch.ops import (
 from repro.batch.state import BatchState
 from repro.memory.coherence import CoherenceState
 from repro.memory.hierarchy import AccessKind, VisibleAccess
-from repro.runner.spec import TrialOutcome, TrialSpec, TrialStatus, TrialSummary
+from repro.runner.spec import (
+    TrialOutcome,
+    TrialSpec,
+    TrialStatus,
+    TrialSummary,
+    stream_dependent,
+)
 from repro.trace.events import CACHE_KINDS, EventKind, TraceEvent
 
 _CACHE_KIND_SET = frozenset(CACHE_KINDS)
@@ -812,7 +818,6 @@ def run_batch_group_detailed(
 ) -> BatchGroupReport:
     """As :func:`run_batch_group`, but returning per-cohort diagnostics
     (ejections, per-lane traces) and raising on group-level failures."""
-    from repro.batch.plan import stream_dependent
     from repro.core.victims import victim_by_name
     from repro.runner.runner import run_trial_outcome
 
@@ -942,7 +947,7 @@ def _run_cohort(
         begin_victim_trial,
         finish_victim_trial,
     )
-    from repro.snapshot.fork import _summarize
+    from repro.runner.runner import summarize_trial
 
     leader_spec = lane_specs[0]
     tracer = None
@@ -1005,7 +1010,7 @@ def _run_cohort(
         probe_latencies = mirror.run_probe(leader_spec.probe_accesses)
 
     summaries: Dict[int, TrialSummary] = {
-        0: _summarize(
+        0: summarize_trial(
             leader_spec,
             victim,
             result,

@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch._numpy import HAVE_NUMPY
-from repro.runner.spec import TrialSpec
+from repro.runner.spec import TrialSpec, stream_dependent
 
 #: Minimum lanes (distinct reference schedules) worth a mirror: a group
 #: with one schedule is a plain fork group, and fork's relabeling is
@@ -36,28 +36,6 @@ BYPASS_SANITIZE = "sanitize"
 BYPASS_SNAPSHOT = "snapshot"
 BYPASS_MIN_LANES = "min_lanes"
 BYPASS_FAULTS = "faults"
-
-
-def effective_dram_jitter(spec: TrialSpec) -> int:
-    """The DRAM jitter this spec will actually run with.
-
-    ``hierarchy_config=None`` means the runner builds the module-level
-    default (``repro.core.victims.ATTACK_HIERARCHY``); this probe makes
-    that fallback explicit so a future change to the default hierarchy
-    cannot silently flip stream handling.
-    """
-    if spec.hierarchy_config is not None:
-        return spec.hierarchy_config.dram_jitter
-    from repro.core.victims import ATTACK_HIERARCHY
-
-    return ATTACK_HIERARCHY.dram_jitter
-
-
-def stream_dependent(spec: TrialSpec) -> bool:
-    """True when trial behaviour consumes the counter RNG streams
-    (DRAM jitter or noise injection) — such specs share a cohort only
-    with same-seed specs, and their seeds cannot be relabeled."""
-    return spec.noise_rate > 0.0 or effective_dram_jitter(spec) > 0
 
 
 def batch_bypass_reason(spec: TrialSpec) -> Optional[str]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.harness import run_victim_trial
+from repro.core.matrix import MARGIN, line_signal, order_flips
 from repro.core.victims import VictimSpec, gdnpeu_victim
 from repro.pipeline.scheme_api import SpeculationScheme
 
@@ -45,7 +46,7 @@ def find_reference_cycle(
     scheme: Union[str, SpeculationScheme],
     *,
     line: Optional[int] = None,
-    margin: int = 8,
+    margin: int = MARGIN,
 ) -> Optional[int]:
     """The VD-AD/VI-AD 'clock' calibration: run the victim with both
     secrets and place the attacker's fixed-time reference access halfway
@@ -56,7 +57,7 @@ def find_reference_cycle(
     )
     t0 = run_victim_trial(spec, scheme, 0).first_access(line)
     t1 = run_victim_trial(spec, scheme, 1).first_access(line)
-    if t0 is None or t1 is None or abs(t0 - t1) < margin:
+    if t0 is None or t1 is None or line_signal(t0, t1, margin) != "shift":
         return None
     return (t0 + t1) // 2
 
@@ -69,7 +70,7 @@ def secret_dependent_order(
         run_victim_trial(spec, scheme, s).order(spec.line_a, spec.line_b)
         for s in (0, 1)
     ]
-    return None not in orders and orders[0] != orders[1]
+    return order_flips(*orders)
 
 
 def sweep_parameter(

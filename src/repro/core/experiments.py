@@ -220,6 +220,7 @@ class AblationResult:
 def ablation_advanced_defense() -> AblationResult:
     """Does PriorityDefense kill the GDNPEU reorder, and at what cost?"""
     from repro.core.harness import run_victim_trial
+    from repro.core.matrix import order_flips
     from repro.schemes.priority import PriorityDefense
 
     spec = gdnpeu_victim(variant="vd-vd")
@@ -227,7 +228,7 @@ def ablation_advanced_defense() -> AblationResult:
     for secret in (0, 1):
         result = run_victim_trial(spec, PriorityDefense(), secret)
         orders.append(result.order(spec.line_a, spec.line_b))
-    blocks = orders[0] == orders[1]
+    blocks = not order_flips(*orders)
     overhead = fig12_defense_overhead(schemes=("priority",), baseline="dom-nontso")
     return AblationResult(
         scheme="priority+dom-nontso", blocks_gdnpeu=blocks, overhead=overhead

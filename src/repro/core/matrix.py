@@ -12,15 +12,21 @@ paper treats as equivalent to a covert channel (§3.3).
 * **VI-AD** — as VD-AD but the monitored access is an instruction-line
   fetch; for GIRS the channel also manifests as presence/absence of the
   target I-line fill (§4.3).
+
+The three signals behind those verdicts — an order flip, a first-access
+shift of at least :data:`MARGIN` and presence/absence — are defined here
+once (:func:`order_flips`, :func:`line_signal`, :func:`leak_signals`);
+cross-validation, symbolic replay and the forward receiver read them
+from this module.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.core.harness import TrialResult, run_victim_trial
+from repro.core.harness import run_victim_trial
 from repro.pipeline.core import DeadlockError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,6 +41,90 @@ from repro.core.victims import (
 
 #: Minimum secret-induced shift (cycles) to call a cell vulnerable.
 MARGIN = 8
+
+
+class ObservedRun(Protocol):
+    """What the leak signals read of one run: a
+    :class:`~repro.core.harness.TrialResult` or a
+    :class:`~repro.runner.spec.TrialSummary`."""
+
+    def first_access(self, line: int) -> Optional[int]: ...
+
+    def order(self, line_x: int, line_y: int) -> Optional[str]: ...
+
+
+@dataclass(frozen=True)
+class Signal:
+    """One dynamic interference signal observed between two runs."""
+
+    kind: str  # "order-flip" | "shift" | "presence"
+    line: Optional[int]
+    #: Which side of the victim the line belongs to.
+    side: str  # "data" | "inst"
+    t_secret0: Optional[int]
+    t_secret1: Optional[int]
+    detail: str
+
+
+def order_flips(o0: Optional[str], o1: Optional[str]) -> bool:
+    """Both runs order the two accesses, and differently (§3.3)."""
+    return o0 is not None and o1 is not None and o0 != o1
+
+
+def line_signal(t0: Optional[int], t1: Optional[int], margin: int) -> Optional[str]:
+    """The signal two first-access times of one line carry:
+    ``"presence"`` when only one run touches the line (§4.3),
+    ``"shift"`` when both do at least ``margin`` cycles apart, else
+    ``None``."""
+    if (t0 is None) != (t1 is None):
+        return "presence"
+    if t0 is not None and t1 is not None and abs(t0 - t1) >= margin:
+        return "shift"
+    return None
+
+
+def leak_signals(
+    spec: VictimSpec, run0: ObservedRun, run1: ObservedRun, *, margin: int = MARGIN
+) -> List[Signal]:
+    """Every interference signal between two runs of ``spec``: the
+    order flip of lines A/B first, then the line signals of A, B and
+    the target I-line, in that order."""
+    signals: List[Signal] = []
+    if spec.line_a is not None and spec.line_b is not None:
+        o0 = run0.order(spec.line_a, spec.line_b)
+        o1 = run1.order(spec.line_a, spec.line_b)
+        if order_flips(o0, o1):
+            signals.append(
+                Signal(
+                    "order-flip",
+                    spec.line_a,
+                    "data",
+                    run0.first_access(spec.line_a),
+                    run1.first_access(spec.line_a),
+                    f"order(A,B) flips: run0={o0} run1={o1}",
+                )
+            )
+    for line, side in (
+        (spec.line_a, "data"),
+        (spec.line_b, "data"),
+        (spec.target_iline, "inst"),
+    ):
+        if line is None:
+            continue
+        t0, t1 = run0.first_access(line), run1.first_access(line)
+        kind = line_signal(t0, t1, margin)
+        if kind is None:
+            continue
+        if t0 is None or t1 is None:
+            detail = f"line {line:#x} accessed only in run {0 if t0 is not None else 1}"
+        else:
+            detail = (
+                f"line {line:#x} first access moved {abs(t0 - t1)} "
+                f"cycle(s) (margin {margin})"
+            )
+        signals.append(Signal(kind, line, side, t0, t1, detail))
+    return signals
+
 
 #: Scheme order of the printed matrix (matches Table 1's scope).
 DEFAULT_SCHEMES = [
@@ -145,27 +235,27 @@ def evaluate_cell(
         t0, t1 = r0.first_access(line), r1.first_access(line)
         order0 = r0.order(spec.line_a, spec.line_b)
         order1 = r1.order(spec.line_a, spec.line_b)
-        vulnerable = (
-            order0 is not None and order1 is not None and order0 != order1
-        )
         detail = f"order(A,B): s0={order0} s1={order1}"
-        return MatrixCell(gadget, ordering, scheme, vulnerable, t0, t1, detail)
+        return MatrixCell(
+            gadget, ordering, scheme, order_flips(order0, order1), t0, t1, detail
+        )
 
     # VD-AD / VI-AD: calibrate the reference time, then verify the order
     # of the monitored access against a real attacker access at that time.
     c0 = run_victim_trial(spec, scheme, 0)
     c1 = run_victim_trial(spec, scheme, 1)
     t0, t1 = c0.first_access(line), c1.first_access(line)
-    if t0 is None and t1 is None:
-        return MatrixCell(
-            gadget, ordering, scheme, False, t0, t1, "no visible access"
-        )
-    if (t0 is None) != (t1 is None):
+    kind = line_signal(t0, t1, MARGIN)
+    if kind == "presence":
         # Presence/absence channel (the GIRS §4.3 variant).
         return MatrixCell(
             gadget, ordering, scheme, True, t0, t1, "presence/absence"
         )
-    if abs(t0 - t1) < MARGIN:
+    if t0 is None or t1 is None:
+        return MatrixCell(
+            gadget, ordering, scheme, False, t0, t1, "no visible access"
+        )
+    if kind is None:
         return MatrixCell(
             gadget, ordering, scheme, False, t0, t1, f"shift {abs(t0-t1)} < {MARGIN}"
         )
@@ -178,9 +268,8 @@ def evaluate_cell(
     )
     o0 = v0.order(line, ADDR_REF)
     o1 = v1.order(line, ADDR_REF)
-    vulnerable = o0 is not None and o1 is not None and o0 != o1
     detail = f"ref@{ref_cycle}: s0={o0} s1={o1}"
-    return MatrixCell(gadget, ordering, scheme, vulnerable, t0, t1, detail)
+    return MatrixCell(gadget, ordering, scheme, order_flips(o0, o1), t0, t1, detail)
 
 
 def _evaluate_cell_task(

@@ -140,16 +140,27 @@ def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
         fault_injector=fault_injector,
         sanitize=spec.sanitize,
     )
+    return summarize_trial(spec, victim, result)
+
+
+def summarize_trial(
+    spec: TrialSpec, victim, result, *, probe_latencies=None
+) -> TrialSummary:
+    """Build the picklable summary of one finished trial; the cold,
+    fork and batch paths all end here.
+
+    Runs the spec's attacker probe phase first (unless the caller
+    already ran it and passes ``probe_latencies``), so metrics and
+    snapshots capture the post-probe state on every execution path.
+    Metrics read the stage events of the trial's tracer.
+    """
     if result.core is None:
         # Explicit, not an assert: asserts vanish under ``python -O``
         # and this invariant guards the summary below.
         raise RuntimeError(
             f"run_victim_trial returned no core handle for {spec.label()}"
         )
-    probe_latencies = None
-    if spec.probe_accesses:
-        # Probe before metrics/snapshot capture: every execution path
-        # (cold, fork, batch) agrees the final state includes the probe.
+    if spec.probe_accesses and probe_latencies is None:
         from repro.core.harness import run_probe_phase
 
         probe_latencies = run_probe_phase(
@@ -158,10 +169,11 @@ def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
     metrics = None
     if spec.collect_metrics:
         from repro.system.stats import machine_metrics
+        from repro.trace.events import STAGE_KINDS
 
-        metrics = machine_metrics(
-            result.machine, events=tracer.events
-        ).to_json()
+        stage = frozenset(STAGE_KINDS)
+        events = [e for e in result.core.tracer.events if e.kind in stage]
+        metrics = machine_metrics(result.machine, events=events).to_json()
     snapshot_path = None
     if spec.snapshot_dir is not None:
         from repro.snapshot.handle import save_trial_snapshot

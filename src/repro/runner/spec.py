@@ -77,6 +77,29 @@ class TrialSpec:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
 
+def effective_dram_jitter(spec: TrialSpec) -> int:
+    """The DRAM jitter this spec will actually run with.
+
+    ``hierarchy_config=None`` means the runner builds the module-level
+    default (``repro.core.victims.ATTACK_HIERARCHY``); this probe makes
+    that fallback explicit so a future change to the default hierarchy
+    cannot silently flip stream handling.
+    """
+    if spec.hierarchy_config is not None:
+        return spec.hierarchy_config.dram_jitter
+    from repro.core.victims import ATTACK_HIERARCHY
+
+    return ATTACK_HIERARCHY.dram_jitter
+
+
+def stream_dependent(spec: TrialSpec) -> bool:
+    """True when trial behaviour consumes the counter RNG streams
+    (DRAM jitter or noise injection), i.e. when the seed can affect the
+    outcome.  Otherwise the seed is inert: the sweep accelerators share
+    one run across seeds and relabel it."""
+    return spec.noise_rate > 0.0 or effective_dram_jitter(spec) > 0
+
+
 @dataclass(frozen=True)
 class TrialSummary:
     """The picklable observable outcome of one trial.

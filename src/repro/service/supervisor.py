@@ -331,6 +331,11 @@ class SweepSupervisor:
     # -- completion ----------------------------------------------------
     def _maybe_finalize(self, job: _ActiveJob) -> None:
         job_id = job.view.job_id
+        if any(chunk.job_id == job_id for chunk in self._running):
+            # A worker journals each trial before streaming its delta:
+            # wait until the job's chunks are reaped, so ``job-done``
+            # is the last record of the stream.
+            return
         if any(
             d not in job.seen and d not in job.exhausted
             for d in job.digests

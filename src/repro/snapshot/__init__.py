@@ -14,12 +14,7 @@ predictors — all flat typed tuples, no ``copy.deepcopy``):
   save/rehydrate for post-hoc state inspection.
 """
 
-from repro.snapshot.fork import (
-    group_key,
-    plan_fork_groups,
-    run_fork_group,
-    seed_is_inert,
-)
+from repro.snapshot.fork import group_key, plan_fork_groups, run_fork_group
 from repro.snapshot.handle import (
     SnapshotSchemaError,
     load_snapshot,
@@ -35,7 +30,6 @@ __all__ = [
     "plan_fork_groups",
     "run_fork_group",
     "group_key",
-    "seed_is_inert",
     "save_snapshot",
     "save_trial_snapshot",
     "load_snapshot",

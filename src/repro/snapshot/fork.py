@@ -19,8 +19,9 @@ variant from a restore + a counter-free ``memory.poke`` of its secret.
 Differential tests assert the result: forked summaries and traces are
 bit-identical to cold-started runs for every scheme.
 
-Seed inertness: with ``noise_rate == 0`` and ``dram_jitter == 0`` the
-per-trial seed feeds only RNGs that are never drawn during the run
+Seed inertness: with ``noise_rate == 0`` and ``dram_jitter == 0``
+(:func:`repro.runner.spec.stream_dependent` is false) the per-trial
+seed feeds only RNGs that are never drawn during the run
 (the attacker agent's shuffle RNG and the DRAM jitter RNG), so
 seed-only variants are synthesized by relabeling — no simulation at
 all.  DRAM jitter demotes the group to per-seed sub-groups (the jitter
@@ -34,7 +35,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.spec import TrialOutcome, TrialSpec, TrialStatus, TrialSummary
+from repro.runner.spec import (
+    TrialOutcome,
+    TrialSpec,
+    TrialStatus,
+    TrialSummary,
+    stream_dependent,
+)
 
 #: Cycles between rolling checkpoints during the probe run; bounds the
 #: replay needed to land exactly on the fork point.
@@ -44,22 +51,11 @@ CHECKPOINT_INTERVAL = 64
 MIN_GROUP = 2
 
 
-def seed_is_inert(spec: TrialSpec) -> bool:
-    """True when the trial seed provably cannot affect the outcome."""
-    if spec.noise_rate > 0.0:
-        return False
-    if spec.hierarchy_config is not None:
-        return spec.hierarchy_config.dram_jitter == 0
-    from repro.core.victims import ATTACK_HIERARCHY
-
-    return ATTACK_HIERARCHY.dram_jitter == 0
-
-
 def group_key(spec: TrialSpec) -> str:
     """Digest of the spec with the forkable dimensions normalized out."""
-    if seed_is_inert(spec):
-        return "inert:" + replace(spec, secret=0, seed=0).digest()
-    return "seeded:" + replace(spec, secret=0).digest()
+    if stream_dependent(spec):
+        return "seeded:" + replace(spec, secret=0).digest()
+    return "inert:" + replace(spec, secret=0, seed=0).digest()
 
 
 def plan_fork_groups(
@@ -114,7 +110,7 @@ def run_fork_group(specs: Sequence[TrialSpec]) -> Optional[List[TrialOutcome]]:
 
 def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
     from repro.core.victims import victim_by_name
-    from repro.runner.runner import run_trial_outcome
+    from repro.runner.runner import run_trial_outcome, summarize_trial
     from repro.trace import Tracer
     from repro.trace.events import CACHE_KINDS, STAGE_KINDS
 
@@ -132,7 +128,7 @@ def _run_fork_group(specs: List[TrialSpec]) -> List[TrialOutcome]:
     # the capture/replay landed the machine exactly there).
     probe_result = _finish(setup, fork_cycle)
     summaries: Dict[Tuple[int, int], TrialSummary] = {
-        (probe.secret, probe.seed): _summarize(probe, victim, probe_result)
+        (probe.secret, probe.seed): summarize_trial(probe, victim, probe_result)
     }
 
     outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
@@ -261,6 +257,8 @@ def _finish(setup, fork_cycle: Optional[int]):
 
 def _run_variant(setup, spec: TrialSpec, victim, fork_cycle, fork_snap):
     """Restore the fork point, swap the secret in, run the suffix."""
+    from repro.runner.runner import summarize_trial
+
     try:
         machine = setup.machine
         machine.restore(fork_snap)
@@ -269,55 +267,8 @@ def _run_variant(setup, spec: TrialSpec, victim, fork_cycle, fork_snap):
         machine.hierarchy.memory.poke(victim.secret_addr, spec.secret)
         setup.secret = spec.secret
         result = _finish(setup, fork_cycle)
-        return _summarize(spec, victim, result)
+        return summarize_trial(spec, victim, result)
     except KeyboardInterrupt:
         raise
     except Exception:
         return None
-
-
-def _summarize(
-    spec: TrialSpec, victim, result, *, probe_latencies=None
-) -> TrialSummary:
-    """Build the picklable summary exactly as the cold path does.
-
-    Runs the spec's attacker probe phase first (unless the caller
-    already ran it and passes ``probe_latencies``), so metrics and
-    snapshots capture the post-probe state on every execution path.
-    """
-    if spec.probe_accesses and probe_latencies is None:
-        from repro.core.harness import run_probe_phase
-
-        probe_latencies = run_probe_phase(
-            result.machine, spec.probe_accesses
-        )
-    metrics = None
-    snapshot_path = None
-    if spec.collect_metrics:
-        from repro.system.stats import machine_metrics
-        from repro.trace.events import STAGE_KINDS
-
-        stage = frozenset(STAGE_KINDS)
-        events = [e for e in result.core.tracer.events if e.kind in stage]
-        metrics = machine_metrics(result.machine, events=events).to_json()
-    if spec.snapshot_dir is not None:
-        from repro.snapshot.handle import save_trial_snapshot
-
-        snapshot_path = save_trial_snapshot(
-            result.machine, spec, spec.snapshot_dir
-        )
-    return TrialSummary(
-        victim=spec.victim,
-        scheme=result.scheme,
-        secret=spec.secret,
-        seed=spec.seed,
-        cycles=result.cycles,
-        access_cycle=dict(result.access_cycle),
-        visible=tuple(result.visible),
-        retired=result.core.stats.retired,
-        line_a=victim.line_a,
-        line_b=victim.line_b,
-        metrics=metrics,
-        snapshot_path=snapshot_path,
-        probe_latencies=probe_latencies,
-    )

@@ -2,15 +2,11 @@
 
 A static analyzer that cannot be checked against ground truth degrades
 into a lint.  This harness replays an analyzed victim through the
-simulator with both secret values and derives the *dynamic interference
-signals* the paper's Table 1 machinery uses (:mod:`repro.core.matrix`):
-
-* **order flip** — the visible-access order of the monitored data lines
-  A/B reverses with the secret (VD-VD);
-* **time shift** — a monitored line's first visible access moves by at
-  least :data:`MARGIN` cycles (VD-AD, the calibrated-reference channel);
-* **presence/absence** — a monitored line is touched under one secret
-  value and not the other (the G-IRS §4.3 I-line variant).
+simulator with both secret values and reads the *dynamic interference
+signals* off the two runs with :func:`repro.core.matrix.leak_signals`,
+the one definition behind Table 1: an order flip of lines A/B, a
+first-access shift of at least :data:`~repro.core.matrix.MARGIN`
+cycles, or a line touched in only one run.
 
 A finding is *confirmed* when a signal of the right kind exists for its
 victim: data-line signals for GD-NPEU/GD-MSHR, instruction-line signals
@@ -28,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.harness import TrialResult, run_victim_trial
-from repro.core.matrix import MARGIN
+from repro.core.harness import run_victim_trial
+from repro.core.matrix import MARGIN, Signal, leak_signals
 from repro.core.victims import VictimSpec
 from repro.staticcheck.report import (
     FAMILY_GDMSHR,
@@ -47,19 +43,6 @@ DEFAULT_SCHEME = "unsafe"
 
 
 @dataclass(frozen=True)
-class Signal:
-    """One dynamic interference signal observed between secret runs."""
-
-    kind: str  # "order-flip" | "shift" | "presence"
-    line: Optional[int]
-    #: Which side of the victim the line belongs to.
-    side: str  # "data" | "inst"
-    t_secret0: Optional[int]
-    t_secret1: Optional[int]
-    detail: str
-
-
-@dataclass(frozen=True)
 class CrossValidation:
     """The dynamic verdict for one victim's static report."""
 
@@ -73,45 +56,6 @@ class CrossValidation:
         return all(f.confirmed for f in self.findings)
 
 
-def _line_signals(
-    r0: TrialResult,
-    r1: TrialResult,
-    line: Optional[int],
-    side: str,
-    margin: int,
-) -> List[Signal]:
-    if line is None:
-        return []
-    t0, t1 = r0.first_access(line), r1.first_access(line)
-    if t0 is None and t1 is None:
-        return []
-    if (t0 is None) != (t1 is None):
-        return [
-            Signal(
-                "presence",
-                line,
-                side,
-                t0,
-                t1,
-                f"line {line:#x} accessed only with secret="
-                f"{0 if t0 is not None else 1}",
-            )
-        ]
-    if t0 is not None and t1 is not None and abs(t0 - t1) >= margin:
-        return [
-            Signal(
-                "shift",
-                line,
-                side,
-                t0,
-                t1,
-                f"line {line:#x} first access moved {abs(t0 - t1)} "
-                f"cycle(s) (margin {margin})",
-            )
-        ]
-    return []
-
-
 def dynamic_signals(
     spec: VictimSpec,
     scheme: str = DEFAULT_SCHEME,
@@ -119,29 +63,11 @@ def dynamic_signals(
     margin: int = MARGIN,
     max_cycles: int = 40_000,
 ) -> List[Signal]:
-    """Run ``spec`` with secret 0 and 1; return every interference
-    signal the two visible-access logs exhibit."""
+    """Run ``spec`` with secret 0 and 1; return the
+    :func:`~repro.core.matrix.leak_signals` of the two runs."""
     r0 = run_victim_trial(spec, scheme, 0, max_cycles=max_cycles)
     r1 = run_victim_trial(spec, scheme, 1, max_cycles=max_cycles)
-    signals: List[Signal] = []
-    if spec.line_a is not None and spec.line_b is not None:
-        o0 = r0.order(spec.line_a, spec.line_b)
-        o1 = r1.order(spec.line_a, spec.line_b)
-        if o0 is not None and o1 is not None and o0 != o1:
-            signals.append(
-                Signal(
-                    "order-flip",
-                    spec.line_a,
-                    "data",
-                    r0.first_access(spec.line_a),
-                    r1.first_access(spec.line_a),
-                    f"order(A,B) flips: s0={o0} s1={o1}",
-                )
-            )
-    signals.extend(_line_signals(r0, r1, spec.line_a, "data", margin))
-    signals.extend(_line_signals(r0, r1, spec.line_b, "data", margin))
-    signals.extend(_line_signals(r0, r1, spec.target_iline, "inst", margin))
-    return signals
+    return leak_signals(spec, r0, r1, margin=margin)
 
 
 def _finding_confirmed(

@@ -14,6 +14,7 @@ is imported by the ``staticcheck`` CLI only at function level (the
 ``--symni`` cross-validation mode); nothing below imports it.
 """
 
+from repro.core.matrix import leak_signals
 from repro.symni.checker import (
     STATUS_CLEAN,
     STATUS_CONFIRMED,
@@ -41,7 +42,7 @@ from repro.symni.observables import (
     Observation,
     first_divergence,
 )
-from repro.symni.replay import ReplayResult, replay_counterexample, summary_signals
+from repro.symni.replay import ReplayResult, replay_counterexample
 from repro.symni.report import NoninterferenceReport, verdict_dict
 
 __all__ = [
@@ -71,7 +72,7 @@ __all__ = [
     "first_divergence",
     "ReplayResult",
     "replay_counterexample",
-    "summary_signals",
+    "leak_signals",
     "NoninterferenceReport",
     "verdict_dict",
 ]

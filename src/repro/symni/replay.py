@@ -3,12 +3,9 @@
 A dirty symbolic verdict names two secret assignments whose abstract
 footprints diverge.  This module replays exactly that pair through the
 simulator (via :mod:`repro.runner.replay`) and asks whether the paper's
-Table-1 machinery would see it: an order flip of the monitored data
-lines, a first-access shift of at least the calibration ``MARGIN``, or
-a presence/absence difference — the same signal menu
-:mod:`repro.staticcheck.crossval` uses, recomputed here from picklable
-:class:`~repro.runner.spec.TrialSummary` records so the symbolic layer
-never needs a live simulator handle.
+Table-1 machinery would see it: :func:`repro.core.matrix.leak_signals`
+reads the two picklable :class:`~repro.runner.spec.TrialSummary`
+records, so the symbolic layer never needs a live simulator handle.
 
 A counterexample the simulator does *not* reproduce is not discarded:
 it comes back as ``reproduced=False`` with both outcomes attached, and
@@ -20,80 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.matrix import MARGIN
+from repro.core.matrix import MARGIN, Signal, leak_signals
 from repro.core.victims import VictimSpec
 from repro.runner.replay import REPLAY_MAX_CYCLES, replay_pair
-from repro.runner.spec import TrialOutcome, TrialSummary
-from repro.staticcheck.crossval import Signal
-
-
-def _line_signals(
-    s0: TrialSummary,
-    s1: TrialSummary,
-    line: Optional[int],
-    side: str,
-    margin: int,
-) -> List[Signal]:
-    if line is None:
-        return []
-    t0, t1 = s0.first_access(line), s1.first_access(line)
-    if t0 is None and t1 is None:
-        return []
-    if (t0 is None) != (t1 is None):
-        return [
-            Signal(
-                "presence",
-                line,
-                side,
-                t0,
-                t1,
-                f"line {line:#x} accessed only in run "
-                f"{0 if t0 is not None else 1}",
-            )
-        ]
-    if t0 is not None and t1 is not None and abs(t0 - t1) >= margin:
-        return [
-            Signal(
-                "shift",
-                line,
-                side,
-                t0,
-                t1,
-                f"line {line:#x} first access moved {abs(t0 - t1)} "
-                f"cycle(s) (margin {margin})",
-            )
-        ]
-    return []
-
-
-def summary_signals(
-    spec: VictimSpec,
-    s0: TrialSummary,
-    s1: TrialSummary,
-    *,
-    margin: int = MARGIN,
-) -> List[Signal]:
-    """Every dynamic interference signal between two trial summaries,
-    over the victim's monitored data lines and target I-line."""
-    signals: List[Signal] = []
-    if spec.line_a is not None and spec.line_b is not None:
-        o0 = s0.order(spec.line_a, spec.line_b)
-        o1 = s1.order(spec.line_a, spec.line_b)
-        if o0 is not None and o1 is not None and o0 != o1:
-            signals.append(
-                Signal(
-                    "order-flip",
-                    spec.line_a,
-                    "data",
-                    s0.first_access(spec.line_a),
-                    s1.first_access(spec.line_a),
-                    f"order(A,B) flips: run0={o0} run1={o1}",
-                )
-            )
-    signals.extend(_line_signals(s0, s1, spec.line_a, "data", margin))
-    signals.extend(_line_signals(s0, s1, spec.line_b, "data", margin))
-    signals.extend(_line_signals(s0, s1, spec.target_iline, "inst", margin))
-    return signals
+from repro.runner.spec import TrialOutcome
 
 
 @dataclass(frozen=True)
@@ -148,7 +75,7 @@ def replay_counterexample(
     signals: List[Signal] = []
     if outcome0.ok and outcome1.ok:
         assert outcome0.summary is not None and outcome1.summary is not None
-        signals = summary_signals(
+        signals = leak_signals(
             spec, outcome0.summary, outcome1.summary, margin=margin
         )
     return ReplayResult(

@@ -32,9 +32,10 @@ variants) declare out of scope, and the reason the three-way matrix
 while fence, STT (taint-gated transmitters) and the priority defense
 (EU preemption + operand-independent RS holds) stay clean.
 
-:class:`ForwardReceiver` decodes the secret from a single trial using
-the same signal menu as Table 1: order(A, B) when it flips with the
-secret, else nearest-neighbour on load A's first visible access.
+:class:`ForwardReceiver` decodes the secret from a single trial with
+Table 1's predicates (:func:`repro.core.matrix.order_flips`,
+:func:`~repro.core.matrix.line_signal`): order(A, B) when it flips with
+the secret, else nearest-neighbour on load A's first visible access.
 
 :func:`random_forward_gadget` generates randomized members of the
 family for property-based testing: every generated program is valid by
@@ -49,7 +50,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.matrix import MARGIN
+from repro.core.matrix import MARGIN, line_signal, order_flips
 from repro.core.victims import (
     ADDR_A,
     ADDR_B,
@@ -327,19 +328,11 @@ class ForwardCalibration:
 
     @property
     def order_usable(self) -> bool:
-        return (
-            self.order0 is not None
-            and self.order1 is not None
-            and self.order0 != self.order1
-        )
+        return order_flips(self.order0, self.order1)
 
     @property
     def shift_usable(self) -> bool:
-        return (
-            self.t0 is not None
-            and self.t1 is not None
-            and abs(self.t0 - self.t1) >= self.margin
-        )
+        return line_signal(self.t0, self.t1, self.margin) == "shift"
 
     @property
     def usable(self) -> bool:

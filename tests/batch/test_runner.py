@@ -17,6 +17,7 @@ from repro.runner import (
     faults,
     make_runner,
 )
+from repro.runner.spec import effective_dram_jitter, stream_dependent
 
 REFS_A = ((ADDR_REF, 60),)
 REFS_B = ((ADDR_REF, 60), (ADDR_REF + 64, 150))
@@ -51,11 +52,11 @@ def test_eligibility_gates():
 
 
 def test_stream_dependence_probe():
-    assert not batch_plan.stream_dependent(_spec())
-    assert batch_plan.stream_dependent(
+    assert not stream_dependent(_spec())
+    assert stream_dependent(
         _spec(noise_rate=0.1, noise_pool=(ADDR_REF,))
     )
-    assert batch_plan.stream_dependent(
+    assert stream_dependent(
         _spec(hierarchy_config=HierarchyConfig(dram_jitter=3))
     )
     # hierarchy_config=None resolves through the explicit default-probe:
@@ -63,11 +64,11 @@ def test_stream_dependence_probe():
     # probe (not an implicit assumption) is what says so.
     from repro.core.victims import ATTACK_HIERARCHY
 
-    assert batch_plan.effective_dram_jitter(_spec()) == (
+    assert effective_dram_jitter(_spec()) == (
         ATTACK_HIERARCHY.dram_jitter
     )
     assert (
-        batch_plan.effective_dram_jitter(
+        effective_dram_jitter(
             _spec(hierarchy_config=HierarchyConfig(dram_jitter=7))
         )
         == 7

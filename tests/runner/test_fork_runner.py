@@ -11,7 +11,8 @@ from repro.runner import (
 )
 from repro.runner import faults
 from repro.runner.faults import FaultPlan, FaultSpec
-from repro.snapshot import group_key, plan_fork_groups, seed_is_inert
+from repro.runner.spec import stream_dependent
+from repro.snapshot import group_key, plan_fork_groups
 
 
 @pytest.fixture(autouse=True)
@@ -36,7 +37,7 @@ def test_plan_groups_by_secret_and_inert_seed():
     """Default config: seeds are inert, so every (victim, scheme) bucket
     collapses into one group spanning all secrets and seeds."""
     specs = _grid()
-    assert all(seed_is_inert(s) for s in specs)
+    assert not any(stream_dependent(s) for s in specs)
     groups, passthrough = plan_fork_groups(specs)
     assert passthrough == []
     assert sorted(len(g) for g in groups) == [4, 4]
@@ -56,7 +57,7 @@ def test_plan_passes_through_sanitized_and_noisy_trials():
     groups, passthrough = plan_fork_groups(specs)
     assert groups == []
     assert passthrough == [0, 1, 2, 3]
-    assert not seed_is_inert(specs[2])  # noise makes the seed live
+    assert stream_dependent(specs[2])  # noise makes the seed live
 
 
 def test_plan_passes_through_singletons():
@@ -91,7 +92,7 @@ def test_dram_jitter_demotes_to_per_seed_groups():
         for seed in (1, 2)
         for secret in (0, 1)
     ]
-    assert not seed_is_inert(specs[0])
+    assert stream_dependent(specs[0])
     groups, passthrough = plan_fork_groups(specs)
     assert passthrough == []
     assert sorted(len(g) for g in groups) == [2, 2]

@@ -1,19 +1,21 @@
 """Supervisor: lease recovery, retry exhaustion, adoption, streaming.
 
 These tests run real worker processes (multiprocessing) over small
-grids; fault injection goes through the ``repro.runner.faults`` I/O
-plan, shipped to workers via the environment.
+grids, except one that drives a stub chunk process by hand; fault
+injection goes through the ``repro.runner.faults`` I/O plan, shipped
+to workers via the environment.
 """
 
 import os
 
 import pytest
 
-from repro.runner import faults
+from repro.runner import TrialJournal, faults
 from repro.runner.runner import run_trial_outcome
 from repro.runner.spec import TrialStatus, expand_grid
-from repro.service import ServiceClient, SweepSupervisor
+from repro.service import ServiceClient, SweepSupervisor, stream
 from repro.service.codec import result_signature
+from repro.service.lease import LeaseTable
 
 GRID = expand_grid(["gdnpeu"], ["unsafe", "dom-nontso"], (0, 1))
 
@@ -148,6 +150,67 @@ def test_stream_carries_deltas_and_terminal_event(tmp_path):
     assert {r["digest"] for r in trials} == {s.digest() for s in GRID}
     assert records[-1]["event"] == "job-done"
     assert records[-1]["n_trials"] == len(GRID)
+
+
+class _StubProcess:
+    """A chunk process the test drives by hand: it runs nothing and is
+    alive from ``start`` until the test clears ``alive``."""
+
+    def __init__(self, target, args, name):
+        self.args = args
+        self.pid = None
+        self.alive = False
+
+    def start(self):
+        self.alive = True
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        pass
+
+
+class _StubContext:
+    def __init__(self):
+        self.processes = []
+
+    def Process(self, target, args, name):
+        process = _StubProcess(target, args, name)
+        self.processes.append(process)
+        return process
+
+
+def test_job_done_waits_for_the_chunk_to_exit(tmp_path):
+    """A worker journals a trial before streaming its delta.  With every
+    digest journaled but the chunk still alive, the delta may be in
+    flight, so ``job-done`` waits for the step after the chunk exits."""
+    specs = expand_grid(["gdnpeu"], ["unsafe"], (0,))
+    outcome = run_trial_outcome(specs[0], attempt=0)
+    client = ServiceClient(tmp_path)
+    job_id = client.submit(specs)
+    supervisor = _supervisor(tmp_path, workers=1, lease_ttl=600.0)
+    context = _StubContext()
+    supervisor._mp = context
+    supervisor.step()  # claims the job and spawns its one chunk
+    (process,) = context.processes
+    _, _, lease_id, worker_id = process.args[:4]
+
+    TrialJournal(supervisor.queue.trial_journal_path(job_id)).record(outcome)
+    supervisor.step()
+    records, _ = client.deltas(job_id)
+    assert records == []
+    assert client.status(job_id).status.value == "running"
+
+    stream.append_outcome(supervisor.queue.stream_path(job_id), outcome)
+    LeaseTable(os.path.join(str(tmp_path), "leases.jsonl")).release(
+        lease_id, worker_id
+    )
+    process.alive = False
+    supervisor.step()
+    records, _ = client.deltas(job_id)
+    assert [r["event"] for r in records] == ["trial", "job-done"]
+    assert client.status(job_id).status.value == "done"
 
 
 def test_two_jobs_respect_priority(tmp_path):
