@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.timeline import render_timeline, timeline_rows
 from repro.core.harness import run_victim_trial
 from repro.core.victims import gdmshr_victim, gdnpeu_victim, girs_victim
+from repro.trace import Tracer
 
 from _common import emit_report
 
@@ -45,8 +46,9 @@ def run_timelines():
         spec = builder(**kwargs)
         sections = []
         for secret in (0, 1):
-            result = run_victim_trial(spec, scheme, secret, trace=True)
-            rows = timeline_rows(result.core, names=names)
+            tracer = Tracer()
+            run_victim_trial(spec, scheme, secret, tracer=tracer)
+            rows = timeline_rows(tracer, names=names)
             # keep the view readable: cap the RS-add swarm
             trimmed, adds = [], 0
             for row in rows:

@@ -8,20 +8,22 @@ shape.  See EXPERIMENTS.md for measured-vs-paper values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runner import SweepRunner
 
 from repro.analysis.histogram import Histogram
+from repro.analysis.timeline import timeline_rows
 from repro.core.harness import prepare_machine
 from repro.core.victims import ATTACK_HIERARCHY, gdnpeu_victim
-from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.memory.hierarchy import HierarchyConfig
 from repro.pipeline.core import Core
 from repro.pipeline.scheme_api import SpeculationScheme
 from repro.schemes.registry import make_scheme
 from repro.system.machine import Machine
+from repro.trace import Tracer
 from repro.workloads.synthetic import SyntheticWorkload, synthetic_suite
 
 
@@ -47,26 +49,31 @@ def fig7_contention_histogram(
     histograms = {"baseline": Histogram(), "interference": Histogram()}
     for trial in range(trials):
         for secret, series in ((0, "baseline"), (1, "interference")):
+            tracer = Tracer()
             machine, core, _ = prepare_machine(
-                spec, scheme, secret, hierarchy_config=hier, trace=True
+                spec, scheme, secret, hierarchy_config=hier, tracer=tracer
             )
             machine.hierarchy.memory.reseed(1000 + trial)
             machine.run(
                 until=lambda: core.halted, max_cycles=30_000, fast_forward=True
             )
-            t_start = _event_of(core, "f0", "issue")
-            t_end = _event_of(core, "load A", "complete")
+            rows = timeline_rows(tracer, names=("f0", "load A"))
+            t_start = next(
+                (r.issue for r in rows if r.name == "f0" and r.issue is not None),
+                None,
+            )
+            t_end = next(
+                (
+                    r.complete
+                    for r in rows
+                    if r.name == "load A" and r.complete is not None
+                ),
+                None,
+            )
             if t_start is None or t_end is None:
                 continue
             histograms[series].add(t_end - t_start)
     return histograms
-
-
-def _event_of(core: Core, name: str, stage: str) -> Optional[int]:
-    for instr in core.trace:
-        if instr.name == name and stage in instr.events:
-            return instr.events[stage]
-    return None
 
 
 # ----------------------------------------------------------------------

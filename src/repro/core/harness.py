@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.victims import ATTACK_HIERARCHY, VictimSpec
-from repro.memory.hierarchy import (
-    AccessKind,
-    CacheHierarchy,
-    HierarchyConfig,
-    VisibleAccess,
-)
+from repro.memory.hierarchy import AccessKind, HierarchyConfig, VisibleAccess
 from repro.pipeline.branch import TwoBitPredictor
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
@@ -91,16 +86,13 @@ def prepare_machine(
     hierarchy_config: Optional[HierarchyConfig] = None,
     core_config: Optional[CoreConfig] = None,
     mistrain_rounds: int = 4,
-    trace: bool = False,
     tracer: Optional[Tracer] = None,
 ) -> Tuple[Machine, Core, SpeculationScheme]:
     """Build a machine with the victim attached and the caches prepared
     per the spec (prime/flush/mistrain).  Does not run it.
 
-    ``trace=True`` keeps the legacy retired-instruction list on the core
-    *and* installs a structured :class:`repro.trace.Tracer` (a caller-
-    supplied ``tracer`` is used as-is).  The tracer is wired in after
-    cache warming/priming so preparation noise never reaches the trace.
+    A ``tracer`` (:class:`repro.trace.Tracer`) is wired in after cache
+    warming/priming, so preparation noise never reaches the trace.
     """
     scheme_obj = resolve_scheme(scheme)
     machine = Machine(
@@ -137,10 +129,7 @@ def prepare_machine(
         config=core_config or spec.core_config,
         predictor=predictor,
         registers=dict(spec.registers),
-        trace=trace,
     )
-    if tracer is None and trace:
-        tracer = Tracer()
     if tracer is not None:
         install_tracer(tracer, machine=machine)
     return machine, core, scheme_obj
@@ -186,7 +175,6 @@ def begin_victim_trial(
     noise_pool: Sequence[int] = (),
     seed: int = 0,
     max_cycles: int = 20_000,
-    trace: bool = False,
     tracer: Optional[Tracer] = None,
     extra_lines: Sequence[int] = (),
     fault_injector=None,
@@ -207,7 +195,6 @@ def begin_victim_trial(
         secret,
         hierarchy_config=hierarchy_config,
         core_config=core_config,
-        trace=trace,
         tracer=tracer,
     )
     sanitizer = None
@@ -352,7 +339,6 @@ def run_victim_trial(
     noise_pool: Sequence[int] = (),
     seed: int = 0,
     max_cycles: int = 20_000,
-    trace: bool = False,
     tracer: Optional[Tracer] = None,
     extra_lines: Sequence[int] = (),
     fault_injector=None,
@@ -387,7 +373,6 @@ def run_victim_trial(
             noise_pool=noise_pool,
             seed=seed,
             max_cycles=max_cycles,
-            trace=trace,
             tracer=tracer,
             extra_lines=extra_lines,
             fault_injector=fault_injector,

@@ -3,7 +3,8 @@
 ``C(E)`` is the sequence (without timing) of visible shared-cache
 accesses of an execution.  ``NoSpec(E)`` is the execution that would
 have occurred with no mis-speculation — constructed here by replaying
-the retired branch-outcome stream through an oracle predictor.
+the architectural conditional-branch outcomes (from the in-order
+:class:`~repro.isa.Interpreter`) through an oracle predictor.
 
 A scheme satisfies *ideal invisible speculation* for a program iff the
 two sequences are identical.  The paper's fence defense satisfies it;
@@ -14,10 +15,11 @@ victims — that violation *is* the covert channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.harness import prepare_machine
 from repro.core.victims import VictimSpec
+from repro.isa.interpreter import Interpreter
 from repro.memory.hierarchy import HierarchyConfig, VisibleAccess
 from repro.pipeline.branch import OraclePredictor
 from repro.pipeline.scheme_api import SpeculationScheme
@@ -30,6 +32,17 @@ def _canonical(log: List[VisibleAccess]) -> List[TraceElement]:
     return [entry.key() for entry in log]
 
 
+def architectural_outcomes(spec: VictimSpec, secret: int) -> List[bool]:
+    """Conditional-branch outcomes of the victim's in-order execution
+    — the stream an :class:`OraclePredictor` replays for NoSpec(E)."""
+    memory = dict(spec.memory_image)
+    memory[spec.secret_addr] = secret
+    result = Interpreter(spec.program).run(
+        registers=spec.registers, memory=memory
+    )
+    return result.branch_outcomes
+
+
 def llc_trace(
     spec: VictimSpec,
     scheme: Union[str, SpeculationScheme],
@@ -40,7 +53,7 @@ def llc_trace(
     oracle: Optional[OraclePredictor] = None,
     reference_accesses: Sequence[Tuple[int, int]] = (),
 ) -> Tuple[List[TraceElement], List[bool]]:
-    """Run the victim; return (C(E), retired branch outcomes).
+    """Run the victim; return (C(E), its architectural branch outcomes).
 
     ``reference_accesses``: attacker fixed-time accesses included in the
     execution.  They matter: C(E) is the *interleaved* sequence of every
@@ -48,7 +61,7 @@ def llc_trace(
     manifest only as a reorder against such an attacker access (§3.3.1).
     """
     machine, core, _ = prepare_machine(
-        spec, scheme, secret, hierarchy_config=hierarchy_config, trace=True
+        spec, scheme, secret, hierarchy_config=hierarchy_config
     )
     if oracle is not None:
         core.predictor = oracle
@@ -61,12 +74,10 @@ def llc_trace(
             agent.schedule_read(addr, cycle)
     start = len(machine.hierarchy.visible_log)
     machine.run(until=lambda: core.halted, max_cycles=max_cycles)
-    outcomes = [
-        bool(i.actual_taken)
-        for i in core.trace
-        if i.is_branch and i.phase.value == "retired" and not i.static.unconditional
-    ]
-    return _canonical(machine.hierarchy.log_since(start)), outcomes
+    return (
+        _canonical(machine.hierarchy.log_since(start)),
+        architectural_outcomes(spec, secret),
+    )
 
 
 def nospec_trace(
@@ -79,21 +90,13 @@ def nospec_trace(
     reference_accesses: Sequence[Tuple[int, int]] = (),
 ) -> List[TraceElement]:
     """C(NoSpec(E)): replay with a perfect (oracle) predictor."""
-    _, outcomes = llc_trace(
-        spec,
-        scheme,
-        secret,
-        hierarchy_config=hierarchy_config,
-        max_cycles=max_cycles,
-        reference_accesses=reference_accesses,
-    )
     trace, _ = llc_trace(
         spec,
         scheme,
         secret,
         hierarchy_config=hierarchy_config,
         max_cycles=max_cycles,
-        oracle=OraclePredictor(outcomes),
+        oracle=OraclePredictor(architectural_outcomes(spec, secret)),
         reference_accesses=reference_accesses,
     )
     return trace
@@ -127,7 +130,7 @@ def check_ideal_invisible_speculation(
     reference_accesses: Sequence[Tuple[int, int]] = (),
 ) -> NonInterferenceReport:
     """Does ``scheme`` satisfy C(E) = C(NoSpec(E)) on this victim?"""
-    spec_t, outcomes = llc_trace(
+    spec_t, _ = llc_trace(
         spec,
         scheme,
         secret,
@@ -135,18 +138,15 @@ def check_ideal_invisible_speculation(
         max_cycles=max_cycles,
         reference_accesses=reference_accesses,
     )
-    nospec_t, _ = llc_trace(
+    nospec_t = nospec_trace(
         spec,
         scheme,
         secret,
         hierarchy_config=hierarchy_config,
         max_cycles=max_cycles,
-        oracle=OraclePredictor(outcomes),
         reference_accesses=reference_accesses,
     )
-    from repro.pipeline.scheme_api import SpeculationScheme as _S
-
-    name = scheme.name if isinstance(scheme, _S) else scheme
+    name = scheme.name if isinstance(scheme, SpeculationScheme) else scheme
     return NonInterferenceReport(
         scheme=name,
         secret=secret,

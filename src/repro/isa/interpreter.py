@@ -10,7 +10,7 @@ constructing the paper's ``NoSpec(E)`` executions (§5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, MutableMapping, Optional, Tuple
 
 from repro.isa.instructions import OpClass
@@ -27,7 +27,9 @@ class InterpreterResult:
 
     registers: Dict[str, int]
     memory: Dict[int, int]
-    #: Taken/not-taken outcome of each dynamically executed branch, in order.
+    #: Taken/not-taken outcome of each dynamically executed conditional
+    #: branch, in order (unconditional jumps are omitted: they never
+    #: consult a predictor, so an oracle replay must not consume them).
     branch_outcomes: List[bool]
     #: (kind, address) of each architectural memory access, in order.
     memory_trace: List[Tuple[str, int]]
@@ -87,7 +89,8 @@ class Interpreter:
             elif inst.opclass is OpClass.BRANCH:
                 values = [self._read(regs, r) for r in inst.srcs]
                 taken = bool(inst.compute(*values))  # type: ignore[misc]
-                branch_outcomes.append(taken)
+                if not inst.unconditional:
+                    branch_outcomes.append(taken)
                 if taken:
                     next_slot = self.program.branch_target_slot(slot)
             else:  # pragma: no cover - exhaustive over OpClass

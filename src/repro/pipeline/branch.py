@@ -11,7 +11,7 @@ to construct the paper's ``NoSpec(E)`` executions (§5.1).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 class BranchPredictor(ABC):
@@ -108,10 +108,11 @@ class StaticTakenPredictor(BranchPredictor):
 class OraclePredictor(BranchPredictor):
     """Replays a recorded dynamic outcome sequence perfectly.
 
-    Feeding it the retired-branch outcome stream of a previous run of
-    the same program yields an execution with no mis-speculation —
-    the paper's ``NoSpec(E)`` (§5.1).  If the program asks for more
-    predictions than recorded, it falls back to not-taken.
+    Feeding it the program's architectural conditional-branch outcomes
+    (:attr:`repro.isa.InterpreterResult.branch_outcomes`) yields an
+    execution with no mis-speculation — the paper's ``NoSpec(E)``
+    (§5.1).  If the program asks for more predictions than recorded,
+    it falls back to not-taken.
     """
 
     def __init__(self, outcomes: Sequence[bool]) -> None:

@@ -12,7 +12,7 @@ Figure 3.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.isa.instructions import OpClass
@@ -32,7 +32,7 @@ from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.reservation_station import ReservationStation
 from repro.pipeline.rob import ROB, SafetyFrontier
 from repro.pipeline.scheme_api import SpeculationScheme, is_safe
-from repro.trace.bus import Tracer
+from repro.trace.bus import Tracer, install_tracer_on_core
 from repro.trace.events import EventKind
 
 
@@ -128,7 +128,6 @@ class Core:
         config: Optional[CoreConfig] = None,
         predictor: Optional[BranchPredictor] = None,
         registers: Optional[Dict[str, int]] = None,
-        trace: bool = False,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.core_id = core_id
@@ -170,15 +169,10 @@ class Core:
         self._fences: Set[int] = set()
 
         # diagnostics
-        self.trace_enabled = trace
-        self.trace: List[DynInstr] = []
         #: Structured event bus (:mod:`repro.trace`); None = tracing off,
         #: in which case every emission site is a single attribute check.
-        self.tracer: Optional[Tracer] = tracer
-        self.lsu.tracer = tracer
-        self.cdb.tracer = tracer
-        for eu in self.eus:
-            eu.tracer = tracer
+        self.tracer: Optional[Tracer] = None
+        install_tracer_on_core(tracer, self)
         self._last_progress_cycle = 0
         self.deadlock_window = 100_000
         #: Human-readable trial identity (victim/scheme/secret/seed),
@@ -486,7 +480,6 @@ class Core:
                 break
             self.rob.pop_head()
             head.phase = Phase.RETIRED
-            head.mark("retire", self.cycle)
             if self.tracer is not None:
                 self.tracer.emit(
                     EventKind.COMMIT,
@@ -516,8 +509,6 @@ class Core:
             self.rs.release_held(head.seq)
             self.scheme.on_retire(self, head)
             self.stats.retired += 1
-            if self.trace_enabled:
-                self.trace.append(head)
             if head.opclass is OpClass.HALT:
                 self.halted = True
                 return
@@ -544,7 +535,6 @@ class Core:
             if instr.phase is Phase.SQUASHED:
                 continue
             instr.phase = Phase.COMPLETED
-            instr.mark("complete", self.cycle)
             if self.tracer is not None:
                 self.tracer.emit(
                     EventKind.WRITEBACK,
@@ -632,8 +622,6 @@ class Core:
                     redirect=target,
                 )
         self.scheme.on_squash(self, all_squashed)
-        if self.trace_enabled:
-            self.trace.extend(squashed)
 
     # ==================================================================
     # issue
@@ -719,7 +707,6 @@ class Core:
         self.rs.remove_on_issue(instr, hold_slot=hold)
         eu.issue(instr, self.cycle, latency)
         instr.phase = Phase.ISSUED
-        instr.mark("issue", self.cycle)
         self.stats.issued += 1
         tracer = self.tracer
         if tracer is not None:
@@ -775,7 +762,6 @@ class Core:
                 instr.addr = instr.static.compute()
             self.rob.push(instr)
             instr.phase = Phase.DISPATCHED
-            instr.mark("dispatch", self.cycle)
             if self.tracer is not None:
                 self.tracer.emit(
                     EventKind.DISPATCH,
@@ -793,7 +779,6 @@ class Core:
                     self._producers[dst] = instr.seq
             else:
                 instr.phase = Phase.COMPLETED
-                instr.mark("complete", self.cycle)
                 if self.tracer is not None:
                     # No-RS micro-ops complete at dispatch; emit the
                     # writeback so their lifecycle still closes.
@@ -867,7 +852,6 @@ class Core:
                     return
             self._seq += 1
             dyn = DynInstr(seq=self._seq, slot=slot, static=static, pc_addr=pc_addr)
-            dyn.mark("fetch", self.cycle)
             if self.tracer is not None:
                 self.tracer.emit(
                     EventKind.FETCH,
@@ -926,7 +910,6 @@ class Core:
         "producers",
         "scoreboard",
         "fences",
-        "trace_seqs",
         "last_progress_cycle",
         "predictor",
         "scheme",
@@ -962,8 +945,6 @@ class Core:
             note(inflight.instr)
         for instr in self.fetch_queue:
             note(instr)
-        for instr in self.trace:
-            note(instr)
         return (
             tuple(table.items()),
             self.cycle,
@@ -985,7 +966,6 @@ class Core:
             dict(self._producers),
             dict(self._scoreboard),
             frozenset(self._fences),
-            tuple(i.seq for i in self.trace),
             self._last_progress_cycle,
             self.predictor.capture_state(),
             self.scheme.capture_state(),
@@ -1013,7 +993,6 @@ class Core:
             producers,
             scoreboard,
             fences,
-            trace_seqs,
             last_progress,
             predictor_state,
             scheme_state,
@@ -1050,7 +1029,6 @@ class Core:
         self._producers = dict(producers)
         self._scoreboard = dict(scoreboard)
         self._fences = set(fences)
-        self.trace[:] = [resolve(s) for s in trace_seqs]
         self._last_progress_cycle = last_progress
         self.predictor.restore_state(predictor_state)
         self.scheme.restore_state(scheme_state)

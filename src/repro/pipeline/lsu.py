@@ -15,12 +15,12 @@ The LSU owns every load between issue and data return:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.memory.hierarchy import AccessKind, CacheHierarchy
 from repro.memory.mshr import MSHRFile
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.dyninstr import DynInstr, Phase
+from repro.pipeline.dyninstr import DynInstr
 from repro.pipeline.scheme_api import LoadDecision, SpeculationScheme
 from repro.trace.events import EventKind
 
@@ -236,7 +236,6 @@ class LoadStoreUnit:
             load.executed_invisibly = True
         load.value = result.value
         load.load_state = LS_INFLIGHT
-        load.mark("dcache", cycle)
         self._inflight.append(
             _InFlightLoad(load, cycle + result.latency, mshr_line, visible)
         )

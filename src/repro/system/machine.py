@@ -9,7 +9,7 @@ from repro.isa.program import Program
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.pipeline.branch import BranchPredictor
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import Core, CycleBudgetError, DeadlockError
+from repro.pipeline.core import Core, CycleBudgetError
 from repro.pipeline.scheme_api import SpeculationScheme
 
 
@@ -57,7 +57,6 @@ class Machine:
         config: Optional[CoreConfig] = None,
         predictor: Optional[BranchPredictor] = None,
         registers: Optional[Dict[str, int]] = None,
-        trace: bool = False,
         tracer=None,
     ) -> Core:
         """Create a core running ``program`` under ``scheme``."""
@@ -73,7 +72,6 @@ class Machine:
             config=config or self.default_core_config,
             predictor=predictor,
             registers=registers,
-            trace=trace,
             tracer=tracer or self.tracer,
         )
         self.cores[core_id] = core

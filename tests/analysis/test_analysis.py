@@ -12,6 +12,7 @@ from repro.analysis import (
 from repro.isa import ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core
+from repro.trace import Tracer, install_tracer
 
 from tests.conftest import small_hierarchy_config
 
@@ -53,33 +54,29 @@ class TestHistogram:
 
 
 class TestTimeline:
-    def make_traced_core(self):
+    def make_trace(self):
         b = ProgramBuilder()
         b.imm("a", 1, name="alpha")
         b.addi("b", "a", 2, name="beta")
         b.load_addr("c", 0x9000, name="gamma")
-        core = Core(
-            0, b.build(), CacheHierarchy(1, small_hierarchy_config()), trace=True
-        )
+        core = Core(0, b.build(), CacheHierarchy(1, small_hierarchy_config()))
+        tracer = install_tracer(Tracer(), core=core)
         core.run(max_cycles=50_000)
-        return core
+        return tracer
 
     def test_rows_extracted_in_order(self):
-        core = self.make_traced_core()
-        rows = timeline_rows(core)
+        rows = timeline_rows(self.make_trace())
         assert [r.name for r in rows][:3] == ["alpha", "beta", "gamma"]
         for row in rows:
             if row.issue is not None:
                 assert row.fetch <= row.issue
 
     def test_name_filter(self):
-        core = self.make_traced_core()
-        rows = timeline_rows(core, names=["beta"])
+        rows = timeline_rows(self.make_trace(), names=["beta"])
         assert [r.name for r in rows] == ["beta"]
 
     def test_render_contains_markers(self):
-        core = self.make_traced_core()
-        text = render_timeline(timeline_rows(core), title="demo")
+        text = render_timeline(timeline_rows(self.make_trace()), title="demo")
         assert "demo" in text
         assert "alpha" in text
         assert "I" in text and "C" in text

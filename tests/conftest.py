@@ -48,14 +48,16 @@ def run_on_scheme(
     predictor=None,
     num_cores=2,
     warm_icache=True,
-    trace=True,
+    tracer=None,
     max_cycles=200_000,
 ):
     """Run a program on core 0 of a small machine under a scheme.
 
-    Returns (machine, core).
+    ``tracer`` (a :class:`repro.trace.Tracer`) is wired into the whole
+    machine when given.  Returns (machine, core).
     """
     from repro.system.machine import Machine
+    from repro.trace import install_tracer
 
     machine = Machine(
         num_cores=num_cores, hierarchy_config=hierarchy or small_hierarchy_config()
@@ -70,7 +72,8 @@ def run_on_scheme(
         scheme,
         predictor=predictor,
         registers=registers,
-        trace=trace,
     )
+    if tracer is not None:
+        install_tracer(tracer, machine=machine)
     machine.run(until=lambda: core.halted, max_cycles=max_cycles)
     return machine, core

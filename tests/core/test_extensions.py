@@ -8,6 +8,7 @@
 
 import pytest
 
+from repro.analysis.timeline import timeline_rows
 from repro.core.attack import (
     ATTACK_HIERARCHY_RANDOM_LLC,
     DCacheAttack,
@@ -16,6 +17,7 @@ from repro.core.attack import (
 )
 from repro.core.harness import run_victim_trial
 from repro.core.victims import gdnpeu_arith_victim, gdnpeu_occupancy_victim
+from repro.trace import Tracer
 
 
 class TestArithmeticTransmitter:
@@ -47,12 +49,12 @@ class TestArithmeticTransmitter:
         spec = gdnpeu_arith_victim()
         durations = {}
         for secret in (0, 1):
-            result = run_victim_trial(spec, "dom-nontso", secret, trace=True)
-            tx = [i for i in result.core.trace if i.name == "arith transmitter"]
+            tracer = Tracer()
+            run_victim_trial(spec, "dom-nontso", secret, tracer=tracer)
+            tx = timeline_rows(tracer, names=["arith transmitter"])
             assert tx, "transmitter executed speculatively"
-            durations[secret] = (
-                tx[0].events.get("complete", 10**9) - tx[0].events["issue"]
-            )
+            complete = tx[0].complete if tx[0].complete is not None else 10**9
+            durations[secret] = complete - tx[0].issue
         # slow case never completes before the squash or takes far longer
         assert durations[0] < 10
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.harness import TrialResult, run_victim_trial
+from repro.core.harness import run_victim_trial
 from repro.core.matrix import MatrixCell, evaluate_cell
-from repro.core.victims import ADDR_REF, VictimSpec, gdnpeu_victim, girs_victim
+from repro.core.victims import gdnpeu_victim, girs_victim
 
 
 class TestMatrixEdges:
@@ -31,13 +31,6 @@ class TestHarnessExtras:
         chase_line = 0x100_000 + 28 * 64  # ADDR_CHASE0's line
         result = run_victim_trial(spec, "unsafe", 0, extra_lines=[chase_line])
         assert result.first_access(chase_line) is not None
-
-    def test_trace_flag_populates_core_trace(self):
-        spec = gdnpeu_victim()
-        traced = run_victim_trial(spec, "unsafe", 0, trace=True)
-        untraced = run_victim_trial(spec, "unsafe", 0)
-        assert traced.core.trace
-        assert not untraced.core.trace
 
     def test_scheme_object_accepted(self):
         from repro.schemes import DelayOnMiss

@@ -1,80 +1,50 @@
 """Consistency of the execution views used by §5.1's checker:
 
-the pipeline's retired-branch outcome stream must equal the
-architectural (in-order) outcome stream, and replaying it through the
-oracle predictor must produce a mis-speculation-free execution with
-identical architectural results.
+the pipeline's conditional-branch outcome stream must equal the
+architectural (in-order) one, and replaying the interpreter's outcomes
+through the oracle predictor must produce a mis-speculation-free
+execution with identical architectural results.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.instructions import OpClass
+from repro.isa import Interpreter
 from repro.pipeline.branch import OraclePredictor
-from repro.pipeline.dyninstr import Phase
 from repro.workloads import random_program
 
 from tests.conftest import run_on_scheme
 
 
-def retired_branch_outcomes(core):
-    return [
-        bool(i.actual_taken)
-        for i in core.trace
-        if i.is_branch
-        and i.phase is Phase.RETIRED
-        and not i.static.unconditional
-    ]
-
-
-def architectural_branch_outcomes(program, *, budget=100_000):
-    """Functional execution collecting conditional-branch outcomes."""
-    outcomes = []
-    registers, memory = {}, {}
-    pc, executed = 0, 0
-    while pc < len(program) and executed < budget:
-        inst = program.at(pc)
-        executed += 1
-        nxt = pc + 1
-        if inst.opclass is OpClass.HALT:
-            break
-        values = [registers.get(r, 0) for r in inst.srcs]
-        if inst.opclass is OpClass.ALU:
-            registers[inst.dst] = inst.compute(*values)
-        elif inst.opclass is OpClass.LOAD:
-            registers[inst.dst] = memory.get(inst.compute(*values), 0)
-        elif inst.opclass is OpClass.STORE:
-            memory[inst.compute(*values)] = registers.get(inst.value_src, 0)
-        elif inst.opclass is OpClass.BRANCH:
-            taken = bool(inst.compute(*values))
-            if not inst.unconditional:
-                outcomes.append(taken)
-            if taken:
-                nxt = program.branch_target_slot(pc)
-        pc = nxt
-    return outcomes
+def oracle_replay(seed):
+    """Run ``random_program(seed)`` with an oracle fed the interpreter's
+    outcomes; returns (interpreter result, oracle, core)."""
+    program = random_program(seed)
+    expected = Interpreter(program).run()
+    oracle = OraclePredictor(expected.branch_outcomes)
+    _, core = run_on_scheme(program, None, predictor=oracle, max_cycles=400_000)
+    return expected, oracle, core
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=4000))
 def test_branch_traces_agree(seed):
-    program = random_program(seed)
-    machine, core = run_on_scheme(program, None, max_cycles=400_000)
-    assert retired_branch_outcomes(core) == architectural_branch_outcomes(program)
+    """Every conditional branch the pipeline resolves has the outcome
+    the interpreter recorded for it, and the pipeline never asks for
+    more predictions than the interpreter executed branches."""
+    _, oracle, core = oracle_replay(seed)
+    assert core.stats.mispredicts == 0
+    assert not oracle.exhausted
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=4000))
 def test_oracle_replay_has_no_squashes(seed):
-    """The NoSpec(E) construction: replaying recorded outcomes through
-    the oracle predictor is mis-speculation-free and result-identical."""
-    program = random_program(seed)
-    machine, core = run_on_scheme(program, None, max_cycles=400_000)
-    outcomes = retired_branch_outcomes(core)
-    machine2, core2 = run_on_scheme(
-        program, None, predictor=OraclePredictor(outcomes), max_cycles=400_000
-    )
-    assert core2.stats.mispredicts == 0
-    assert core2.stats.squashes == 0
-    for reg, value in core.regfile.items():
-        assert core2.regfile.get(reg) == value
+    """The NoSpec(E) construction: replaying the architectural outcomes
+    through the oracle predictor is mis-speculation-free and
+    result-identical."""
+    expected, _, core = oracle_replay(seed)
+    assert core.stats.squashes == 0
+    for reg, value in expected.registers.items():
+        assert core.regfile.get(reg) == value, f"register {reg}"
+    for addr, value in expected.memory.items():
+        assert core.hierarchy.memory.peek(addr) == value, f"mem {addr:#x}"

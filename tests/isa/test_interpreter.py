@@ -65,6 +65,20 @@ class TestInterpreter:
         assert result.registers["counter"] == 5
         assert result.branch_outcomes == [True] * 4 + [False]
 
+    def test_unconditional_jump_not_recorded(self):
+        """Jumps never consult a predictor, so an oracle replaying
+        ``branch_outcomes`` must only see the conditional branches."""
+        b = ProgramBuilder()
+        b.jump("over")
+        b.imm("r2", 111)  # skipped
+        b.label("over")
+        b.imm("r1", 0)
+        b.branch_if(["r1"], lambda v: v == 1, "end")
+        b.label("end")
+        result = Interpreter(b.build()).run()
+        assert "r2" not in result.registers
+        assert result.branch_outcomes == [False]
+
     def test_initial_registers_and_memory(self):
         b = ProgramBuilder()
         b.load("r1", ["base"], lambda a: a)

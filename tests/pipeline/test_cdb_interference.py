@@ -8,10 +8,11 @@ default, which is §5.4 rule 2 applied to the bus) eliminates it.
 
 import pytest
 
+from repro.analysis.timeline import timeline_rows
 from repro.isa import ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core, CoreConfig
-from repro.pipeline.dyninstr import Phase
+from repro.trace import Tracer, install_tracer
 
 from tests.conftest import small_hierarchy_config
 
@@ -40,13 +41,13 @@ def run(arbitration):
     hierarchy = CacheHierarchy(1, small_hierarchy_config())
     for slot in range(len(program)):
         hierarchy.l1i[0].fill(program.address_of_slot(slot) & ~63)
-    core = Core(0, program, hierarchy, config=config, trace=True)
+    core = Core(0, program, hierarchy, config=config)
+    tracer = install_tracer(Tracer(), core=core)
     core.run(max_cycles=100_000)
-    z = next(i for i in core.trace if i.name == "z")
-    target = next(i for i in core.trace if i.name == "target op")
+    rows = {row.name: row for row in timeline_rows(tracer, names=["z", "target op"])}
     # the f(z)->target path time: captures z's writeback starvation
     # rippling into the dependent op (the Fig. 1 interference shape)
-    return target.events["complete"] - z.events["issue"]
+    return rows["target op"].complete - rows["z"].issue
 
 
 class TestCDBInterference:

@@ -6,37 +6,39 @@ delaying older instructions, MSHR exhaustion delaying an unrelated load,
 and RS back-pressure throttling the frontend.
 """
 
-import pytest
-
+from repro.analysis.timeline import timeline_rows
 from repro.isa import ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core, CoreConfig
-from repro.pipeline.dyninstr import Phase
+from repro.trace import EventKind, Tracer, install_tracer
 
 from tests.conftest import small_hierarchy_config
 
 
 def build_core(program, *, config=None, registers=None, mshrs=4, warm_icache=False):
+    """A traced core: read its stage cycles with :func:`retired`."""
     hierarchy = CacheHierarchy(1, small_hierarchy_config(l1d_mshrs=mshrs))
     if warm_icache:
         for slot in range(len(program)):
             addr = program.address_of_slot(slot)
             hierarchy.l1i[0].fill(addr & ~63)
-    return Core(
+    core = Core(
         0,
         program,
         hierarchy,
         config=config or CoreConfig(),
         registers=registers,
-        trace=True,
     )
+    install_tracer(Tracer(), core=core)
+    return core
 
 
 def retired(core, name):
+    """Timeline rows of the retired instructions named ``name``."""
     return [
-        i
-        for i in core.trace
-        if i.phase is Phase.RETIRED and i.name == name
+        row
+        for row in timeline_rows(core.tracer)
+        if row.retire is not None and row.name == name
     ]
 
 
@@ -51,7 +53,7 @@ class TestNonPipelinedUnit:
         core.run()
         s1 = retired(core, "sqrt1")[0]
         s2 = retired(core, "sqrt2")[0]
-        assert s2.events["issue"] >= s1.events["issue"] + 15
+        assert s2.issue >= s1.issue + 15
 
     def test_pipelined_port_overlaps(self):
         b = ProgramBuilder()
@@ -63,7 +65,7 @@ class TestNonPipelinedUnit:
         core.run()
         o1 = retired(core, "op1")[0]
         o2 = retired(core, "op2")[0]
-        assert o2.events["issue"] == o1.events["issue"] + 1
+        assert o2.issue == o1.issue + 1
 
     def test_age_ordered_selection(self):
         """When two ops are ready for one port, the older issues first."""
@@ -73,10 +75,7 @@ class TestNonPipelinedUnit:
         b.alu("y", ["a"], lambda v: v, latency=5, port=0, name="younger")
         core = build_core(b.build())
         core.run()
-        assert (
-            retired(core, "older")[0].events["issue"]
-            < retired(core, "younger")[0].events["issue"]
-        )
+        assert retired(core, "older")[0].issue < retired(core, "younger")[0].issue
 
     def test_ready_younger_blocks_waking_older(self):
         """The GDNPEU primitive (Fig. 3): a ready younger op grabs the
@@ -98,7 +97,7 @@ class TestNonPipelinedUnit:
         # Baseline without interference: f2 issues ~16-17 cycles after f1.
         # With g-ops stealing the unit during f1->f2 wakeup, the gap
         # includes a full extra occupancy (15 cycles).
-        gap = f2.events["issue"] - f1.events["issue"]
+        gap = f2.issue - f1.issue
         assert gap >= 15 + 15, f"no interference cascade, gap={gap}"
 
     def test_no_interference_without_contenders(self):
@@ -110,7 +109,7 @@ class TestNonPipelinedUnit:
         core.run()
         f1 = retired(core, "f1")[0]
         f2 = retired(core, "f2")[0]
-        gap = f2.events["issue"] - f1.events["issue"]
+        gap = f2.issue - f1.issue
         assert gap <= 18, f"unexpected delay without gadget, gap={gap}"
 
 
@@ -123,7 +122,7 @@ class TestWakeupDelay:
         core.run()
         producer = retired(core, "producer")[0]
         consumer = retired(core, "consumer")[0]
-        assert consumer.events["issue"] > producer.events["complete"]
+        assert consumer.issue > producer.complete
 
 
 class TestCDBContention:
@@ -135,9 +134,9 @@ class TestCDBContention:
         core = build_core(b.build(), config=config)
         core.run()
         completes = sorted(
-            i.events["complete"]
-            for i in core.trace
-            if i.phase is Phase.RETIRED and i.name.startswith("op")
+            row.complete
+            for row in timeline_rows(core.tracer, names=["op"])
+            if row.retire is not None
         )
         assert len(set(completes)) == len(completes)  # one per cycle
 
@@ -150,9 +149,9 @@ class TestCDBContention:
         core = build_core(b.build(), config=config)
         core.run()
         completes = [
-            i.events["complete"]
-            for i in core.trace
-            if i.phase is Phase.RETIRED and i.name.startswith("op")
+            row.complete
+            for row in timeline_rows(core.tracer, names=["op"])
+            if row.retire is not None
         ]
         assert len(completes) - len(set(completes)) >= 1
 
@@ -172,7 +171,15 @@ class TestMSHRPressure:
             b.load_addr("victim", 0x90_000, name="victim ld")
             core = build_core(b.build(), mshrs=4)
             core.run()
-            return retired(core, "victim ld")[0].events["dcache"]
+            # The cycle the victim load reached the D-cache: its MSHR
+            # allocation (the event's seq is the load's).
+            (load,) = retired(core, "victim ld")
+            return next(
+                e.cycle
+                for e in core.tracer.filtered(
+                    kinds=[EventKind.MSHR_ALLOC], seq=load.seq
+                )
+            )
 
         distinct_start = run(distinct=True)
         coalesced_start = run(distinct=False)
@@ -204,7 +211,7 @@ class TestFrontendBackpressure:
         marker = retired(core, "marker")[0]
         miss = retired(core, "miss ld")[0]
         # marker could not even be fetched until the miss returned
-        assert marker.events["fetch"] >= miss.events["complete"] - 5
+        assert marker.fetch >= miss.complete - 5
 
     def test_no_throttle_when_chain_independent(self):
         config = CoreConfig(rs_size=8, fetch_queue_size=4)
@@ -217,7 +224,7 @@ class TestFrontendBackpressure:
         core.run()
         marker = retired(core, "marker")[0]
         miss = retired(core, "miss ld")[0]
-        assert marker.events["fetch"] < miss.events["complete"]
+        assert marker.fetch < miss.complete
 
 
 class TestICacheCoupling:
@@ -238,6 +245,6 @@ class TestICacheCoupling:
         for slot in range(len(prog)):
             addr = prog.address_of_slot(slot)
             hierarchy.l1i[0].fill(addr & ~(line_size - 1))
-        core = Core(0, prog, hierarchy, trace=True)
+        core = Core(0, prog, hierarchy)
         core.run()
         assert core.stats.icache_miss_stalls == 0

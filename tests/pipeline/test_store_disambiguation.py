@@ -1,11 +1,10 @@
 """Memory-disambiguation behaviour around stores."""
 
-import pytest
-
+from repro.analysis.timeline import timeline_rows
 from repro.isa import ProgramBuilder
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core
-from repro.pipeline.dyninstr import Phase
+from repro.trace import EventKind, Tracer, install_tracer
 
 from tests.conftest import small_hierarchy_config
 
@@ -14,7 +13,8 @@ def run(program):
     hierarchy = CacheHierarchy(1, small_hierarchy_config())
     for slot in range(len(program)):
         hierarchy.l1i[0].fill(program.address_of_slot(slot) & ~63)
-    core = Core(0, program, hierarchy, trace=True)
+    core = Core(0, program, hierarchy)
+    install_tracer(Tracer(), core=core)
     core.run(max_cycles=100_000)
     return core
 
@@ -28,10 +28,11 @@ class TestStoreAddressResolution:
         b.store((), lambda: 0x2000, "v", name="const-addr store")
         b.load_addr("x", 0x3000, name="independent load")
         core = run(b.build())
-        load = next(i for i in core.trace if i.name == "independent load")
-        store = next(i for i in core.trace if i.name == "const-addr store")
+        rows = {row.name: row for row in timeline_rows(core.tracer)}
+        load = rows["independent load"]
+        (alloc,) = core.tracer.filtered(kinds=[EventKind.MSHR_ALLOC], seq=load.seq)
         # the load's memory access started long before the store's data
-        assert load.events["dcache"] < store.events["complete"]
+        assert alloc.cycle < rows["const-addr store"].complete
         assert core.hierarchy.memory.peek(0x2000) == 9
         assert core.regfile["x"] == 0
 

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.analysis.timeline import timeline_rows
 from repro.isa import ProgramBuilder
 from repro.pipeline.branch import StaticTakenPredictor
-from repro.pipeline.dyninstr import Phase
 from repro.schemes import DelayOnMiss, FenceDefense, PriorityDefense
+from repro.trace import Tracer
 
 from tests.conftest import run_on_scheme
 
@@ -26,12 +27,14 @@ class TestFenceDefense:
         b.load_addr("x", SPEC_ADDR, name="spec load")
         b.label("end")
         b.halt()
+        tracer = Tracer()
         machine, core = run_on_scheme(
-            b.build(), scheme, predictor=StaticTakenPredictor(True)
+            b.build(), scheme, predictor=StaticTakenPredictor(True), tracer=tracer
         )
         assert scheme.issue_blocks > 0
-        spec_loads = [i for i in core.trace if i.name == "spec load"]
-        assert all("issue" not in i.events for i in spec_loads)
+        spec_loads = timeline_rows(tracer, names=["spec load"])
+        assert spec_loads  # dispatched on the wrong path, then squashed
+        assert all(row.issue is None for row in spec_loads)
         assert machine.hierarchy.hit_level(0, SPEC_ADDR) == "DRAM"
 
     def test_spectre_model_allows_pre_branch_parallelism(self):
@@ -44,11 +47,12 @@ class TestFenceDefense:
         b.branch_if(["n"], lambda v: v > 10, "out", name="branch")
         b.label("out")
         b.halt()
-        machine, core = run_on_scheme(b.build(), scheme)
+        tracer = Tracer()
+        run_on_scheme(b.build(), scheme, tracer=tracer)
         issues = sorted(
-            i.events["issue"]
-            for i in core.trace
-            if i.name.startswith("op") and "issue" in i.events
+            row.issue
+            for row in timeline_rows(tracer, names=["op"])
+            if row.issue is not None
         )
         # at least two ops issued in the same cycle: parallelism survives
         assert len(issues) - len(set(issues)) >= 1
@@ -58,11 +62,12 @@ class TestFenceDefense:
         b = ProgramBuilder()
         for i in range(8):
             b.imm(f"r{i}", i, name=f"op{i}")
-        machine, core = run_on_scheme(b.build(), scheme)
+        tracer = Tracer()
+        run_on_scheme(b.build(), scheme, tracer=tracer)
         issues = sorted(
-            i.events["issue"]
-            for i in core.trace
-            if i.name.startswith("op") and "issue" in i.events
+            row.issue
+            for row in timeline_rows(tracer, names=["op"])
+            if row.issue is not None
         )
         assert len(set(issues)) == len(issues)  # one at a time
 
@@ -107,10 +112,10 @@ class TestPriorityDefense:
             b.alu("f1", ["z"], lambda v: v + 1, latency=15, port=0, name="f1")
             for i in range(4):
                 b.alu(f"g{i}", [], lambda: 1, latency=15, port=0, name=f"g{i}")
-            machine, core = run_on_scheme(b.build(), scheme)
-            z = next(i for i in core.trace if i.name == "z")
-            f1 = next(i for i in core.trace if i.name == "f1")
-            return f1.events["issue"] - z.events["complete"]
+            tracer = Tracer()
+            run_on_scheme(b.build(), scheme, tracer=tracer)
+            rows = {row.name: row for row in timeline_rows(tracer, names=["z", "f1"])}
+            return rows["f1"].issue - rows["z"].complete
 
         baseline_gap = gap(DelayOnMiss("nontso"))
         defended_gap = gap(PriorityDefense(DelayOnMiss("nontso")))

@@ -63,7 +63,7 @@ class TestDelayOnMiss:
         machine.warm_icache(0, program)
         machine.warm_data(0, [HIT_ADDR], level="L1")
         core = machine.attach(
-            0, program, scheme, predictor=StaticTakenPredictor(True), trace=True
+            0, program, scheme, predictor=StaticTakenPredictor(True)
         )
         machine.run(until=lambda: core.halted, max_cycles=100_000)
         assert scheme.invisible_hits >= 1

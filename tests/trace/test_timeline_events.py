@@ -1,81 +1,65 @@
-"""The trace-driven timeline must reproduce the legacy bookkeeping's
-rows exactly, for every Figure 3/4/5 scenario."""
+"""Timeline rows rebuilt from the structured trace, for the Figure
+3/4/5 scenarios."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.timeline import (
-    _rows_from_instrs,
-    render_timeline,
-    rows_from_events,
-    timeline_rows,
-)
+from repro.analysis.timeline import render_timeline, timeline_rows
 from repro.core.harness import run_victim_trial
 from repro.core.victims import victim_by_name
-from repro.trace import Tracer
-
-SCENARIOS = [
-    ("gdnpeu", "dom-nontso"),
-    ("gdmshr", "invisispec-spectre"),
-    ("girs", "dom-nontso"),
-]
+from repro.trace import EventKind, Tracer
 
 
 def _traced(victim, scheme, secret):
-    # trace=True keeps the legacy core.trace list AND installs a
-    # structured tracer, so both row sources exist for the same run.
-    return run_victim_trial(
-        victim_by_name(victim), scheme, secret, trace=True
+    tracer = Tracer()
+    result = run_victim_trial(
+        victim_by_name(victim), scheme, secret, tracer=tracer
     )
-
-
-@pytest.mark.parametrize("victim,scheme", SCENARIOS)
-@pytest.mark.parametrize("secret", (0, 1))
-def test_event_rows_match_legacy_rows(victim, scheme, secret):
-    result = _traced(victim, scheme, secret)
-    from_events = rows_from_events(result.events)
-    legacy = _rows_from_instrs(result.core.trace)
-    assert from_events == legacy
-
-
-def test_timeline_rows_prefers_tracer_on_core():
-    result = _traced("gdnpeu", "dom-nontso", 1)
-    assert result.core.tracer is not None
-    rows = timeline_rows(result.core)
-    assert rows == rows_from_events(result.events)
+    return result, tracer
 
 
 def test_timeline_rows_accepts_tracer_and_event_iterable():
-    tracer = Tracer()
-    result = run_victim_trial(
-        victim_by_name("gdnpeu"), "dom-nontso", 1, tracer=tracer
-    )
+    result, tracer = _traced("gdnpeu", "dom-nontso", 1)
     from_tracer = timeline_rows(tracer)
     from_list = timeline_rows(list(tracer.events))
-    assert from_tracer == from_list == rows_from_events(result.events)
+    assert from_tracer
+    assert from_tracer == from_list == timeline_rows(result.events)
 
 
 def test_name_filter_applies_to_event_rows():
-    result = _traced("gdnpeu", "dom-nontso", 1)
-    rows = timeline_rows(result.core, names=["gadget"])
+    _, tracer = _traced("gdnpeu", "dom-nontso", 1)
+    rows = timeline_rows(tracer, names=["gadget"])
     assert rows
     assert all(r.name.startswith("gadget") for r in rows)
 
 
 def test_render_from_event_rows():
-    result = _traced("gdnpeu", "dom-nontso", 1)
-    text = render_timeline(timeline_rows(result.core), title="fig3")
+    _, tracer = _traced("gdnpeu", "dom-nontso", 1)
+    text = render_timeline(timeline_rows(tracer), title="fig3")
     assert "fig3" in text
     assert "gadget0" in text
     assert "x" in text  # the squashed transient gadget
 
 
 def test_squashed_rows_require_dispatch():
-    # Fetch-queue squashes never reached the ROB and must not appear,
-    # matching the legacy core.trace population.
-    result = _traced("gdnpeu", "dom-nontso", 1)
-    rows = rows_from_events(result.events)
+    # Fetch-queue squashes never reached the ROB and must not appear.
+    _, tracer = _traced("gdnpeu", "dom-nontso", 1)
+    rows = timeline_rows(tracer)
     for row in rows:
         if row.squashed:
             assert row.dispatch is not None
+
+
+def test_row_keeps_first_issue_of_a_preempted_instruction():
+    # Under ``priority`` an older ready op evicts a younger occupant of
+    # the non-pipelined unit, which then issues again: its row carries
+    # the first of its ISSUE events.
+    result, tracer = _traced("gdnpeu", "priority", 1)
+    assert result.core.stats.eu_preemptions >= 1
+    issues = {}
+    for event in tracer.filtered(kinds=[EventKind.ISSUE]):
+        issues.setdefault(event.seq, []).append(event.cycle)
+    reissued = {seq: cycles for seq, cycles in issues.items() if len(cycles) >= 2}
+    assert reissued
+    rows = {row.seq: row for row in timeline_rows(tracer)}
+    for seq, cycles in reissued.items():
+        assert rows[seq].issue == cycles[0] < cycles[-1]
