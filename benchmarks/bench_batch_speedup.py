@@ -3,11 +3,11 @@
 The reference-schedule sweep is the shape the §3.3 interference
 experiments actually run — the same victim probed with the attacker's
 "clock" read placed at many different cycles — and it is exactly the
-dimension the snapshot-fork engine cannot merge (its group key keeps
-the schedule, so every schedule becomes its own fork group).  The
+dimension relabeling cannot merge (a relabel group spans only inert
+seeds, so with ``fork=True`` every schedule still runs cold).  The
 batched SoA engine simulates the whole sweep as one leader run per
 secret with every schedule as a follower lane, so it must come in
->=2x faster than the scalar fork path — with bit-identical outcomes
+>=2x faster than the ``fork=True`` path — with bit-identical outcomes
 (asserted; tests/batch proves the same per scheme).
 
 Two cases are measured: the stream-inert sweep, and the same sweep on a
@@ -108,8 +108,8 @@ def test_bench_batch_speedup(benchmark, tmp_path):
                     *jitter_t,
                 ),
                 "",
-                "Fork must simulate every distinct reference schedule "
-                "separately (the schedule is part of its group key); "
+                "Relabeling (fork=True) merges only inert-seed variants, "
+                "so every distinct reference schedule still runs cold; "
                 "batch runs one leader per secret and mirrors all "
                 f"{len(REF_CYCLES)} schedules as SoA lanes in lockstep, "
                 "ejecting any lane whose memory system diverges to the "

@@ -12,7 +12,6 @@ No wall-clock floor is asserted (CI runners are noisy); the acceptance
 assertion is the bit-identity, the numbers are the report.
 """
 
-import os
 import tempfile
 import time
 

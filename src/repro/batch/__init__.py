@@ -8,8 +8,8 @@ soundness story (per-op comparison + divergence ejection) and
 ``docs/API.md`` for usage.
 
 numpy is an optional extra (``pip install repro[batch]``); without it
-:func:`plan_batch_groups` plans nothing and sweeps fall back to the
-scalar fork/cold layers.
+:func:`plan_batch_groups` plans nothing and sweeps fall through to the
+relabel/cold layers.
 """
 
 from repro.batch._numpy import HAVE_NUMPY, require_numpy
@@ -18,7 +18,6 @@ from repro.batch.engine import (
     BatchMirrorError,
     CohortRun,
     LockstepMirror,
-    run_batch_group,
     run_batch_group_detailed,
 )
 from repro.batch.plan import (
@@ -47,6 +46,5 @@ __all__ = [
     "plan_batch_groups",
     "plan_batch_groups_report",
     "require_numpy",
-    "run_batch_group",
     "run_batch_group_detailed",
 ]

@@ -2,8 +2,8 @@
 
 numpy is a *runtime* extra (``pip install repro[batch]``), not a hard
 dependency: every entry point in :mod:`repro.batch` degrades to "no
-batch groups" when it is absent, and the sweep runner silently falls
-back to the scalar fork/cold layers.  Code that genuinely needs the
+batch groups" when it is absent, and the sweep runner's specs fall
+through to the relabel/cold layers.  Code that genuinely needs the
 arrays calls :func:`require_numpy` and gets an actionable ImportError.
 """
 
@@ -29,6 +29,6 @@ def require_numpy() -> Any:
         raise ImportError(
             "repro.batch requires numpy; install it with "
             "'pip install repro[batch]'.  (Without numpy, sweeps fall "
-            "back to the scalar snapshot-fork and cold paths.)"
+            "through to the relabel and cold paths.)"
         )
     return np

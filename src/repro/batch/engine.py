@@ -18,8 +18,8 @@ Soundness rests on comparison, not assumption:
   correctness never depends on lanes staying converged;
 * the leader lane itself is mirrored and compared op-by-op, and its
   final SoA state must reproduce ``hierarchy.capture()`` exactly —
-  any drift raises :class:`BatchMirrorError` and the whole group
-  falls back to the snapshot-fork / cold layers.
+  any drift raises :class:`BatchMirrorError`, and that cohort's
+  specs re-run cold.
 
 With tracing enabled (differential tests), the engine reconstructs a
 full per-lane event trace from the leader's trace: each mirrored
@@ -795,29 +795,17 @@ class BatchGroupReport:
         return sum(len(c.diverged) for c in self.cohorts)
 
 
-def run_batch_group(
-    specs: Sequence[TrialSpec],
-) -> Optional[List[TrialOutcome]]:
-    """Execute one batch group; outcomes align with ``specs``.
-
-    Returns None when the group cannot be batched at all (mirror bug,
-    setup failure) — the caller falls back to the fork/cold layers.
-    Per-lane divergences never fail the group: the diverged spec is
-    re-run cold inside, exactly like a failed fork variant.
-    """
-    try:
-        return run_batch_group_detailed(list(specs)).outcomes
-    except KeyboardInterrupt:
-        raise
-    except Exception:
-        return None
-
-
 def run_batch_group_detailed(
     specs: Sequence[TrialSpec], *, with_traces: bool = False
 ) -> BatchGroupReport:
-    """As :func:`run_batch_group`, but returning per-cohort diagnostics
-    (ejections, per-lane traces) and raising on group-level failures."""
+    """Execute one batch group; outcomes align with ``specs``.
+
+    Returns per-cohort diagnostics (ejections, per-lane traces) beside
+    the outcomes.  A per-lane divergence or a failed cohort never fails
+    the group: those specs re-run cold inside.  Failures outside any
+    cohort (an unknown victim, say) raise, and the runner then lets the
+    whole group fall through to the relabel/cold layers.
+    """
     from repro.core.victims import victim_by_name
     from repro.runner.runner import run_trial_outcome
 
@@ -826,7 +814,7 @@ def run_batch_group_detailed(
     # One lane per distinct reference schedule.  Stream-inert groups
     # (no jitter, no noise) cohort per secret: seed does not affect the
     # trial, so seed-only variants share a lane and are relabeled below,
-    # exactly like fork does.  Stream-dependent groups cohort per
+    # exactly like a relabel group.  Stream-dependent groups cohort per
     # (secret, seed): the counter streams are keyed by seed, so lanes
     # can only share a leader that shares their seed, and no relabeling
     # happens.

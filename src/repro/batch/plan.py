@@ -3,8 +3,8 @@
 A batch group is a set of :class:`~repro.runner.spec.TrialSpec`s that
 differ only in ``secret``, ``seed``, and ``reference_accesses`` — the
 attacker's fixed-cycle "clock" reads of §3.3.  Reference-access sweeps
-are exactly the dimension the snapshot-fork engine cannot merge (its
-group key keeps the schedule), and exactly what the batched SoA engine
+are exactly the dimension relabeling cannot merge (a relabel group
+spans only inert seeds), and exactly what the batched SoA engine
 simulates as follower lanes.
 
 Since the counter-based RNG streams landed (:mod:`repro.memory.stream`),
@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.batch._numpy import HAVE_NUMPY
 from repro.runner.spec import TrialSpec, stream_dependent
 
-#: Minimum lanes (distinct reference schedules) worth a mirror: a group
-#: with one schedule is a plain fork group, and fork's relabeling is
-#: strictly cheaper than mirroring.
+#: Minimum lanes (distinct reference schedules) worth a mirror: with
+#: one schedule the mirror has no follower lanes, and the relabel layer
+#: makes the same one run per secret without the mirror's cost.
 MIN_LANES = 2
 
 #: Bypass-reason keys surfaced as ``sweep.batch.bypass.*`` counters.
@@ -77,7 +77,7 @@ def plan_batch_groups_report(
     only in secret / seed / reference schedule, with at least
     :data:`MIN_LANES` distinct schedules (for stream-dependent groups:
     within at least one ``(secret, seed)`` cohort, since seeds cannot
-    share lanes there); everything else flows to the fork/cold layers,
+    share lanes there); everything else flows to the relabel/cold layers,
     with the reason tallied in the returned mapping.
     """
     buckets: Dict[str, List[int]] = {}

@@ -12,7 +12,7 @@ opens, exactly as an attacker would against unknown hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.harness import run_victim_trial
 from repro.core.matrix import MARGIN, line_signal, order_flips

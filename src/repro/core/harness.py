@@ -140,17 +140,16 @@ class TrialSetup:
     """A fully prepared but not-yet-run victim trial.
 
     Produced by :func:`begin_victim_trial`; consumed by
-    :func:`finish_victim_trial`.  The split exists for the snapshot/fork
-    engine (:mod:`repro.snapshot.fork`), which prepares one trial,
-    simulates the shared prefix, captures the machine, and then finishes
-    N restored variants — each through the same observation code the
-    cold path uses.
+    :func:`finish_victim_trial`.  The split exists for the batched
+    engine (:mod:`repro.batch.engine`), which installs its lockstep
+    mirror on the prepared machine before the leader runs it through
+    the same observation code the cold path uses, and for
+    :func:`repro.snapshot.handle.rehydrate_trial`, which restores a
+    saved snapshot into a freshly prepared machine.
     """
 
     spec: VictimSpec
     scheme_obj: SpeculationScheme
-    #: Mutable: the fork engine overwrites this per variant after poking
-    #: the restored machine's memory, so the result is labeled correctly.
     secret: int
     seed: int
     machine: Machine
@@ -245,22 +244,15 @@ def begin_victim_trial(
     )
 
 
-def finish_victim_trial(
-    setup: TrialSetup, *, max_cycles: Optional[int] = None
-) -> TrialResult:
-    """Run a prepared (or restored) trial to completion and observe it.
-
-    ``max_cycles`` overrides the setup's budget — the fork engine passes
-    the *remaining* budget after the shared prefix, so a forked variant
-    obeys exactly the cold trial's horizon.
-    """
+def finish_victim_trial(setup: TrialSetup) -> TrialResult:
+    """Run a prepared trial to completion and observe it."""
     machine, core = setup.machine, setup.core
     # The halt predicate only changes inside step(), so idle-cycle
     # fast-forwarding is exact here (and disables itself automatically
     # while a noise injector's cycle hook is attached).
     machine.run(
         until=lambda: core.halted,
-        max_cycles=setup.max_cycles if max_cycles is None else max_cycles,
+        max_cycles=setup.max_cycles,
         fast_forward=True,
     )
     window = machine.hierarchy.log_since(setup.log_start)

@@ -233,8 +233,11 @@ def evaluate_cell(
         r0 = run_victim_trial(spec, scheme, 0)
         r1 = run_victim_trial(spec, scheme, 1)
         t0, t1 = r0.first_access(line), r1.first_access(line)
-        order0 = r0.order(spec.line_a, spec.line_b)
-        order1 = r1.order(spec.line_a, spec.line_b)
+        # ``line`` is line A; without a line B there is no order.
+        order0 = order1 = None
+        if spec.line_b is not None:
+            order0 = r0.order(line, spec.line_b)
+            order1 = r1.order(line, spec.line_b)
         detail = f"order(A,B): s0={order0} s1={order1}"
         return MatrixCell(
             gadget, ordering, scheme, order_flips(order0, order1), t0, t1, detail

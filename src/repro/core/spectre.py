@@ -15,7 +15,7 @@ under any scheme and reports what a Flush+Reload attacker recovers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program

@@ -10,7 +10,7 @@ instructions on their own cache lines via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List
 
 from repro.isa.instructions import Instruction, OpClass
 

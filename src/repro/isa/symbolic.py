@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 #: One total assignment of the secret variables, as sorted (name, value)
 #: pairs so assignments hash and compare stably.

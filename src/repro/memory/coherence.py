@@ -16,8 +16,8 @@ I-side is read-only and always effectively Shared.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 
 class CoherenceState(enum.Enum):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.memory.cache import Cache
 from repro.memory.coherence import CoherenceDirectory

@@ -53,10 +53,6 @@ class MainMemory:
         self.writes += 1
         self._data[addr] = value
 
-    def poke(self, addr: int, value: int) -> None:
-        """Write without bumping counters (snapshot-fork secret swap)."""
-        self._data[addr] = value
-
     def write_block(self, base: int, values: Iterable[int], *, stride: int = 8) -> None:
         for offset, value in enumerate(values):
             self.write(base + offset * stride, value)
@@ -65,7 +61,7 @@ class MainMemory:
         """DRAM access time for one request, including jitter.
 
         The draw is keyed by the requesting ``(cycle, core)`` through the
-        counter stream, so a replayer (fork child, lockstep mirror lane)
+        counter stream, so a replayer (restored snapshot, mirror lane)
         reconstructs the identical draw from the key alone.  With zero
         jitter no draw happens and no stream state is touched.
         """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class SetPolicy(ABC):

@@ -2,9 +2,9 @@
 
 Draws are pure functions of ``(seed, domain, cycle, seq)`` through a
 splitmix64-style finalizer, so any consumer — the scalar simulator, a
-forked child, or the batched lockstep mirror replaying one lane's DRAM
-traffic vectorized over numpy — reconstructs the exact same value from
-the key alone.  No mutable generator state is shared between draw
+restored snapshot, or the batched lockstep mirror replaying one lane's
+DRAM traffic vectorized over numpy — reconstructs the exact same value
+from the key alone.  No mutable generator state is shared between draw
 sites; the only state a consumer tracks is the ``seq`` disambiguator
 for repeated draws at the same ``(cycle, core)``.
 

@@ -11,7 +11,7 @@ gadgets need pressure to build quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ result strictly after its broadcast cycle (one-cycle wakeup delay).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.pipeline.config import PortConfig
 from repro.pipeline.dyninstr import DynInstr

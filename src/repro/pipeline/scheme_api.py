@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.pipeline.dyninstr import DynInstr
 from repro.pipeline.rob import SafetyFlags

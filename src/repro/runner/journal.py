@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 from repro.memory.hierarchy import AccessKind, VisibleAccess
 from repro.runner import faults

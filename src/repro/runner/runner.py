@@ -146,8 +146,9 @@ def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
 def summarize_trial(
     spec: TrialSpec, victim, result, *, probe_latencies=None
 ) -> TrialSummary:
-    """Build the picklable summary of one finished trial; the cold,
-    fork and batch paths all end here.
+    """Build the picklable summary of one finished trial; the cold
+    path (which relabel groups use too) and the batch path both end
+    here.
 
     Runs the spec's attacker probe phase first (unless the caller
     already ran it and passes ``probe_latencies``), so metrics and
@@ -317,13 +318,8 @@ def _run_chunk_outcomes(
     return outcomes
 
 
-def _run_fork_group_outcomes(specs: List[TrialSpec]):
-    """Pool-dispatchable fork-group body (module-level, picklable by
-    reference).  Returns aligned outcomes, or None when the group must
-    fall back to cold execution."""
-    from repro.snapshot.fork import run_fork_group
-
-    outcomes = run_fork_group(specs)
+def _checked(outcomes: Optional[List[TrialOutcome]]):
+    """A group body's outcomes, after the lean-transport guard."""
     if outcomes is not None:
         for outcome in outcomes:
             _check_lean_transport(outcome)
@@ -332,9 +328,9 @@ def _run_fork_group_outcomes(specs: List[TrialSpec]):
 
 def _run_batch_group_outcomes(specs: List[TrialSpec]):
     """Pool-dispatchable batch-group body (module-level, picklable by
-    reference).  Returns ``(outcomes, ejected_lane_count)`` — outcomes
+    reference).  Returns ``(outcomes, ejected_lane_count)``, outcomes
     aligned with ``specs``, or ``(None, 0)`` when the group must fall
-    back to the fork/cold layers."""
+    through to the relabel/cold layers."""
     from repro.batch.engine import run_batch_group_detailed
 
     try:
@@ -343,9 +339,22 @@ def _run_batch_group_outcomes(specs: List[TrialSpec]):
         raise
     except Exception:
         return None, 0
-    for outcome in report.outcomes:
-        _check_lean_transport(outcome)
-    return report.outcomes, report.ejected
+    return _checked(report.outcomes), report.ejected
+
+
+def _run_fork_group_outcomes(specs: List[TrialSpec]):
+    """Pool-dispatchable relabel-group body, shaped like the batch body:
+    ``(outcomes, 0)``, or ``(None, 0)`` when the group must fall through
+    to the cold path."""
+    from repro.snapshot.fork import run_fork_group
+
+    return _checked(run_fork_group(specs)), 0
+
+
+def _plan_fork_groups(specs: Sequence[TrialSpec]) -> List[List[int]]:
+    from repro.snapshot.fork import plan_fork_groups
+
+    return plan_fork_groups(specs)[0]
 
 
 class SweepRunner:
@@ -356,8 +365,9 @@ class SweepRunner:
     #: Re-runs allowed per trial on transient (timeout / worker-lost)
     #: failures; the first execution is not a retry.
     max_retries: int = 2
-    #: Snapshot/fork execution (:mod:`repro.snapshot.fork`): trials
-    #: differing only in secret/seed share one simulated prefix.
+    #: Relabel groups (:mod:`repro.snapshot.fork`): trials differing
+    #: only in an inert seed run once, and every member gets that
+    #: summary relabeled with its own seed.
     fork: bool = False
     #: Batched lockstep execution (:mod:`repro.batch`): trials differing
     #: only in secret/seed/reference schedule step as SoA lanes of one
@@ -411,15 +421,18 @@ class SweepRunner:
            snapshot state-schema hash) is already in ``cache_dir``
            return their memoized outcome without simulating;
         2. **journal merge** — checkpointed outcomes are reused;
-        3. **batch groups** — with ``batch=True`` (numpy present, no
-           fault plan active), remaining specs that differ only in
-           secret/seed/reference schedule step as lockstep SoA lanes of
-           one leader run per secret (:mod:`repro.batch`);
-        4. **fork groups** — with ``fork=True`` (and no fault plan
-           active), remaining specs that differ only in secret/seed run
-           as probe-plus-forked-variants groups;
+        3. **batch groups** — with ``batch=True`` (numpy present),
+           remaining specs that differ only in secret/seed/reference
+           schedule step as lockstep SoA lanes of one leader run per
+           secret (:mod:`repro.batch`);
+        4. **relabel groups** — with ``fork=True``, remaining specs that
+           differ only in an inert seed run once and are relabeled
+           (:mod:`repro.snapshot.fork`);
         5. everything still unresolved runs cold, exactly as before;
         6. fresh ``ok`` outcomes are written back to the cache.
+
+        Both group layers are off while a fault plan is active: injected
+        faults must land on real per-spec machines.
         """
         specs = list(specs)
         outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
@@ -432,22 +445,28 @@ class SweepRunner:
                     outcomes[i] = hit
                     cached.add(i)
         _merge_journal(specs, outcomes, journal)
-        if self.batch:
-            if self._batch_stats is None:
-                self._batch_stats = {}
-            if faults.current_plan() is None:
-                self._run_batch_groups(specs, outcomes, journal)
-            else:
-                # An active fault plan disables the mirror wholesale
-                # (injected faults must land on real per-spec machines);
-                # account for it like any other bypass.
-                from repro.batch.plan import BYPASS_FAULTS
+        if self.batch and self._batch_stats is None:
+            self._batch_stats = {}
+        if faults.current_plan() is None:
+            if self.batch:
+                self._tally_batch(
+                    self._fill_groups(
+                        specs, outcomes, journal,
+                        self._plan_batch_groups, _run_batch_group_outcomes,
+                    )
+                )
+            if self.fork:
+                self._fill_groups(
+                    specs, outcomes, journal,
+                    _plan_fork_groups, _run_fork_group_outcomes,
+                )
+        elif self.batch:
+            # Account for the fault plan like any other batch bypass.
+            from repro.batch.plan import BYPASS_FAULTS
 
-                pending = sum(1 for o in outcomes if o is None)
-                if pending:
-                    self._tally_batch({f"bypass.{BYPASS_FAULTS}": pending})
-        if self.fork and faults.current_plan() is None:
-            self._run_fork_groups(specs, outcomes, journal)
+            pending = sum(1 for o in outcomes if o is None)
+            if pending:
+                self._tally_batch({f"bypass.{BYPASS_FAULTS}": pending})
         rest = [i for i in range(len(specs)) if outcomes[i] is None]
         if rest:
             for i, outcome in zip(
@@ -470,95 +489,62 @@ class SweepRunner:
         for name, value in counts.items():
             self._batch_stats[name] = self._batch_stats.get(name, 0) + value
 
-    def _run_batch_groups(
-        self,
-        specs: List[TrialSpec],
-        outcomes: List[Optional[TrialOutcome]],
-        journal: Optional[TrialJournal],
-    ) -> None:
-        """Fill ``outcomes`` slots via batched lockstep execution where
-        it applies; anything it cannot cover (ineligible specs, groups
-        without enough distinct reference schedules, a failed group)
-        stays None for the fork/cold layers.  Planning bypasses, group
-        failures, batched spec counts and lane ejections are tallied
-        into :attr:`_batch_stats`."""
+    def _plan_batch_groups(self, specs: Sequence[TrialSpec]) -> List[List[int]]:
+        """Batch planner that tallies its per-reason bypasses."""
         from repro.batch.plan import plan_batch_groups_report
 
-        pending = [i for i in range(len(specs)) if outcomes[i] is None]
-        groups, _, bypassed = plan_batch_groups_report(
-            [specs[i] for i in pending]
-        )
+        groups, _, bypassed = plan_batch_groups_report(specs)
         self._tally_batch(
             {f"bypass.{reason}": n for reason, n in bypassed.items()}
         )
-        group_indices = [[pending[j] for j in group] for group in groups]
-        if not group_indices:
-            return
-        try:
-            results = self.map(
-                _run_batch_group_outcomes,
-                [[specs[i] for i in group] for group in group_indices],
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            # Pool-level failure: the fork/cold layers below re-run
-            # everything with their own fault tolerance.
-            results = [(None, 0)] * len(group_indices)
-            reset = getattr(self, "_reset_pool", None)
-            if reset is not None:
-                reset()
-        tally: Dict[str, int] = {}
-        for group, (group_outcomes, ejected) in zip(group_indices, results, strict=False):
-            if group_outcomes is None:
-                # Group failed wholesale; falls through to fork/cold.
-                tally["failed"] = tally.get("failed", 0) + len(group)
-                continue
-            tally["batched"] = tally.get("batched", 0) + len(group)
-            tally["ejected"] = tally.get("ejected", 0) + ejected
-            for i, outcome in zip(group, group_outcomes, strict=False):
-                outcomes[i] = outcome
-                if journal is not None and journal.should_record(outcome):
-                    journal.record(outcome)
-        self._tally_batch(tally)
+        return groups
 
-    def _run_fork_groups(
+    def _fill_groups(
         self,
         specs: List[TrialSpec],
         outcomes: List[Optional[TrialOutcome]],
         journal: Optional[TrialJournal],
-    ) -> None:
-        """Fill ``outcomes`` slots via fork-group execution where it
-        applies; anything it cannot (or fails to) cover stays None for
-        the cold path."""
-        from repro.snapshot.fork import plan_fork_groups
-
+        plan: Callable[[Sequence[TrialSpec]], List[List[int]]],
+        body: Callable,
+    ) -> Dict[str, int]:
+        """Fill or fall through: ``plan`` groups the still-pending specs,
+        :meth:`map` runs every group through ``body`` (so groups fan out
+        over the pool), and each group that comes back fills its slots
+        and is journaled.  A group that fails — ``body`` returns no
+        outcomes, or the pool itself fails — leaves its slots None for
+        the next layer and finally the cold path, whose fault isolation
+        reports it.  Returns the spec counts (``batched``, ``ejected``
+        lanes, ``failed``) in :attr:`_batch_stats` form."""
         pending = [i for i in range(len(specs)) if outcomes[i] is None]
-        groups, _ = plan_fork_groups([specs[i] for i in pending])
-        group_indices = [[pending[j] for j in group] for group in groups]
-        if not group_indices:
-            return
+        groups = [
+            [pending[j] for j in group]
+            for group in plan([specs[i] for i in pending])
+        ]
+        counts: Dict[str, int] = {}
+        if not groups:
+            return counts
         try:
-            results = self.map(
-                _run_fork_group_outcomes,
-                [[specs[i] for i in group] for group in group_indices],
-            )
+            results = self.map(body, [[specs[i] for i in g] for g in groups])
         except KeyboardInterrupt:
             raise
         except Exception:
-            # Pool-level failure (e.g. a lost worker): the cold path
-            # below re-runs everything with its own fault tolerance.
-            results = [None] * len(group_indices)
+            # Pool-level failure (e.g. a lost worker): every group falls
+            # through, and the cold path re-runs it with its own retries.
+            results = [(None, 0)] * len(groups)
             reset = getattr(self, "_reset_pool", None)
             if reset is not None:
                 reset()
-        for group, group_outcomes in zip(group_indices, results, strict=False):
+        for group, (group_outcomes, ejected) in zip(groups, results, strict=True):
             if group_outcomes is None:
-                continue  # probe failed; group falls back to cold
-            for i, outcome in zip(group, group_outcomes, strict=False):
+                counts["failed"] = counts.get("failed", 0) + len(group)
+                continue
+            counts["batched"] = counts.get("batched", 0) + len(group)
+            counts["ejected"] = counts.get("ejected", 0) + ejected
+            for i, outcome in zip(group, group_outcomes, strict=True):
                 outcomes[i] = outcome
                 if journal is not None and journal.should_record(outcome):
                     journal.record(outcome)
+        return counts
 
     def run(
         self,
@@ -962,9 +948,9 @@ def make_runner(
     pool would only add process overhead (single CPU, or workers=1).
     ``max_retries`` / ``trial_timeout`` configure the fault-tolerant
     ``run`` path (see :class:`ParallelSweepRunner`); ``fork``, ``batch``
-    and ``cache_dir`` enable snapshot/fork execution, batched lockstep
-    execution (needs numpy) and the content-addressed trial cache (see
-    :meth:`SweepRunner.run_outcomes`)."""
+    and ``cache_dir`` enable relabel groups (inert-seed variants run
+    once), batched lockstep execution (needs numpy) and the
+    content-addressed trial cache (see :meth:`SweepRunner.run_outcomes`)."""
     resolved = workers if workers is not None else default_workers()
     if resolved <= 1:
         return SerialSweepRunner(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.memory.hierarchy import AccessKind
 from repro.pipeline.dyninstr import DynInstr
 from repro.pipeline.scheme_api import LoadDecision, SafetyModel, SpeculationScheme
 

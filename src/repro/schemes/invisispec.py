@@ -14,7 +14,7 @@ I-cache accesses are not protected.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING
 
 from repro.memory.hierarchy import AccessKind
 from repro.pipeline.dyninstr import DynInstr

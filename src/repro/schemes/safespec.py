@@ -14,7 +14,7 @@ On a squash the shadow entries of squashed loads vanish.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.memory.hierarchy import AccessKind
 from repro.pipeline.dyninstr import DynInstr

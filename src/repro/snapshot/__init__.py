@@ -1,17 +1,19 @@
-"""Snapshot/fork simulation engine.
+"""Machine snapshots: capture, persist, rehydrate — plus relabel groups.
 
-Three pieces built on the per-component ``capture()``/``restore()``
-protocol (Machine, Core, ROB, reservation station, execution units,
-CDB, LSU, caches, MSHRs, coherence directory, main memory, schemes,
-predictors — all flat typed tuples, no ``copy.deepcopy``):
+Built on the per-component ``capture()``/``restore()`` protocol
+(Machine, Core, ROB, reservation station, execution units, CDB, LSU,
+caches, MSHRs, coherence directory, main memory, schemes, predictors —
+all flat typed tuples, no ``copy.deepcopy``):
 
 * :mod:`repro.snapshot.schema` — state-schema hash versioning every
   persisted artifact derived from simulator state;
-* :mod:`repro.snapshot.fork` — fork-point finder + group executor: one
-  probe per sweep group, shared-prefix simulation, N forked variants
-  bit-identical to cold starts;
 * :mod:`repro.snapshot.handle` — portable end-of-trial snapshot
   save/rehydrate for post-hoc state inspection.
+
+:mod:`repro.snapshot.fork` is the sweep runner's ``fork=True`` layer
+and needs no snapshot at all: it groups specs that differ only in an
+inert seed, runs each group's first spec cold, and relabels that
+summary for every member.
 """
 
 from repro.snapshot.fork import group_key, plan_fork_groups, run_fork_group

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.matrix import MARGIN
-from repro.core.victims import VICTIM_FACTORIES, VictimSpec, victim_by_name
+from repro.core.victims import VICTIM_FACTORIES, victim_by_name
 from repro.isa.symbolic import Assignment, SecretSpace
 from repro.pipeline.scheme_api import SpeculationScheme
 from repro.schemes.registry import SCHEME_FACTORIES

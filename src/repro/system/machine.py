@@ -198,11 +198,11 @@ class Machine:
     )
 
     def capture(self) -> Tuple:
-        """Capture the full machine state for an in-process fork.
+        """Capture the full machine state for an in-process restore.
 
         The scheduled-action heap holds closures, so the capture is a
         shallow copy of the heap list: valid for restore within the same
-        process (fork-based sweeps), not for cross-process transport —
+        process, not for cross-process transport —
         workers ship summaries, never machine state (lean transport).
         Actions are pure reads of the hierarchy plus agent bookkeeping,
         so re-running them after a restore is sound.

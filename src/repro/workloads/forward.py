@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.core.matrix import MARGIN, line_signal, order_flips
 from repro.core.victims import (

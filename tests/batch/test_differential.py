@@ -13,7 +13,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.batch.engine import run_batch_group, run_batch_group_detailed
+from repro.batch.engine import run_batch_group_detailed
 from repro.core.harness import run_victim_trial
 from repro.core.victims import ADDR_REF, victim_by_name
 from repro.runner import SerialSweepRunner, TrialSpec
@@ -118,9 +118,3 @@ def test_batch_group_with_failing_member_falls_back():
     batched = SerialSweepRunner(batch=True).run_outcomes(specs)
     assert [o.status for o in cold] == [o.status for o in batched]
     assert batched == cold
-
-
-def test_run_batch_group_swallows_nothing_on_success():
-    """The lenient wrapper returns the detailed outcomes verbatim."""
-    specs = _specs_for("dom-nontso")
-    assert run_batch_group(specs) == run_batch_group_detailed(specs).outcomes

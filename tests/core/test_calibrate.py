@@ -1,9 +1,6 @@
 """Tests for the attacker calibration toolkit."""
 
-import pytest
-
 from repro.core.calibrate import (
-    CalibrationResult,
     find_reference_cycle,
     secret_dependent_order,
     sweep_parameter,

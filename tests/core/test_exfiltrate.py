@@ -1,7 +1,5 @@
 """Tests for message exfiltration over the PoC channels."""
 
-import pytest
-
 from repro.core.attack import ICacheAttack
 from repro.core.exfiltrate import (
     ExfiltrationReport,

@@ -4,8 +4,6 @@ Each test is a complete story across all subsystems — pipeline, caches,
 schemes, attacker agent, receivers — rather than a unit behaviour.
 """
 
-import pytest
-
 from repro.core.attack import DCacheAttack, ICacheAttack
 from repro.core.harness import run_victim_trial
 from repro.core.noninterference import check_ideal_invisible_speculation

@@ -6,11 +6,9 @@
   (lfence-style) closes the window even on the unsafe machine.
 """
 
-import pytest
-
 from repro.core.harness import prepare_machine
 from repro.core.receivers import QLRUReceiver
-from repro.core.victims import ADDR_SECRET, ADDR_S, ADDR_A, ADDR_B, gdnpeu_victim
+from repro.core.victims import gdnpeu_victim
 from repro.isa.instructions import OpClass
 from repro.isa import instructions as ins
 from repro.isa.program import Program

@@ -1,9 +1,8 @@
 """Tests for the MESI-style coherence layer."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import AccessKind, CacheHierarchy, CoherenceDirectory, CoherenceState
+from repro.memory import CacheHierarchy, CoherenceDirectory, CoherenceState
 
 from tests.conftest import small_hierarchy_config
 

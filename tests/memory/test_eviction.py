@@ -1,9 +1,6 @@
 """Tests for eviction-set construction."""
 
-import pytest
-
 from repro.memory import (
-    AccessKind,
     CacheHierarchy,
     HierarchyConfig,
     LevelConfig,

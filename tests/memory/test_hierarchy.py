@@ -1,8 +1,6 @@
 """Tests for the multi-level hierarchy, visible/invisible semantics,
 the C(E) visible-access log, and cross-core sharing."""
 
-import pytest
-
 from repro.memory import AccessKind, CacheHierarchy, HierarchyConfig, LevelConfig
 
 

@@ -7,8 +7,6 @@ victim's access order (A-B vs B-A) leaves exactly one of {A, B} resident
 after a 15-line probe (EVS2) — and *which one* depends on the order.
 """
 
-import pytest
-
 from repro.memory.cache import Cache
 from repro.memory.qlru import QLRUPolicy, INSERT_AGE, MAX_AGE
 

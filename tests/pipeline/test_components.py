@@ -5,7 +5,6 @@ import pytest
 
 from repro.isa import instructions as ins
 from repro.pipeline.branch import OraclePredictor, StaticTakenPredictor, TwoBitPredictor
-from repro.pipeline.config import PortConfig
 from repro.pipeline.dyninstr import DynInstr, Phase
 from repro.pipeline.execution_unit import CommonDataBus
 from repro.pipeline.reservation_station import ReservationStation

@@ -5,7 +5,6 @@ prediction, squashes, forwarding, reordering) must produce exactly the
 architectural state of the in-order interpreter.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import Interpreter

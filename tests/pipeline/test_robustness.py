@@ -3,7 +3,6 @@
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.isa.instructions import OpClass
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core, CoreConfig, StaticTakenPredictor
 from repro.pipeline.config import PortConfig
@@ -11,7 +10,7 @@ from repro.pipeline.core import DeadlockError
 from repro.pipeline.execution_unit import CommonDataBus, ExecutionUnit
 from repro.pipeline.reservation_station import ReservationStation
 from repro.pipeline.rob import ROB
-from repro.pipeline.dyninstr import DynInstr, Phase
+from repro.pipeline.dyninstr import DynInstr
 from repro.isa import instructions as ins
 
 from tests.conftest import small_hierarchy_config

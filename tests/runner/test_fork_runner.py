@@ -1,4 +1,4 @@
-"""Fork-group planning and runner integration."""
+"""Relabel-group (``fork=True``) planning and runner integration."""
 
 import pytest
 
@@ -23,8 +23,8 @@ def _no_fault_plan():
 
 
 def _grid():
-    # Two base seeds x two secrets per scheme: exercises both the
-    # secret-fork and the inert-seed-relabel dimensions of a group.
+    # Two base seeds x two secrets per scheme: every (scheme, secret)
+    # pair is one relabel group of two inert seeds.
     return expand_grid(
         ["gdnpeu"], ["unsafe", "dom-nontso"], base_seed=1
     ) + expand_grid(["gdnpeu"], ["unsafe", "dom-nontso"], base_seed=2)
@@ -34,16 +34,17 @@ def _grid():
 # planning
 # ----------------------------------------------------------------------
 def test_plan_groups_by_secret_and_inert_seed():
-    """Default config: seeds are inert, so every (victim, scheme) bucket
-    collapses into one group spanning all secrets and seeds."""
+    """Default config: seeds are inert, so every (victim, scheme,
+    secret) bucket collapses into one group spanning its seeds."""
     specs = _grid()
     assert not any(stream_dependent(s) for s in specs)
     groups, passthrough = plan_fork_groups(specs)
     assert passthrough == []
-    assert sorted(len(g) for g in groups) == [4, 4]
+    assert sorted(len(g) for g in groups) == [2, 2, 2, 2]
     for group in groups:
-        schemes = {specs[i].scheme for i in group}
-        assert len(schemes) == 1  # never mix schemes in one group
+        # Never mix schemes or secrets in one group; only seeds differ.
+        assert len({(specs[i].scheme, specs[i].secret) for i in group}) == 1
+        assert len({specs[i].seed for i in group}) == len(group)
 
 
 def test_plan_passes_through_sanitized_and_noisy_trials():
@@ -67,17 +68,19 @@ def test_plan_passes_through_singletons():
     assert passthrough == [0]
 
 
-def test_group_key_ignores_secret_and_inert_seed():
+def test_group_key_ignores_only_the_seed():
     a = TrialSpec(victim="gdnpeu", scheme="stt", secret=0, seed=11)
-    b = TrialSpec(victim="gdnpeu", scheme="stt", secret=1, seed=99)
-    c = TrialSpec(victim="gdnpeu", scheme="muontrap", secret=0, seed=11)
+    b = TrialSpec(victim="gdnpeu", scheme="stt", secret=0, seed=99)
+    c = TrialSpec(victim="gdnpeu", scheme="stt", secret=1, seed=11)
+    d = TrialSpec(victim="gdnpeu", scheme="muontrap", secret=0, seed=11)
     assert group_key(a) == group_key(b)
     assert group_key(a) != group_key(c)
+    assert group_key(a) != group_key(d)
 
 
-def test_dram_jitter_demotes_to_per_seed_groups():
-    """With live DRAM jitter the seed matters, so grouping only spans
-    secrets within each seed (the jitter RNG is inside the snapshot)."""
+def test_dram_jitter_specs_are_never_grouped():
+    """With live DRAM jitter the seed matters, so no spec is relabeled
+    from another seed's run: every jittered spec runs cold."""
     from repro.memory.hierarchy import HierarchyConfig
 
     config = HierarchyConfig(dram_jitter=2)
@@ -94,10 +97,8 @@ def test_dram_jitter_demotes_to_per_seed_groups():
     ]
     assert stream_dependent(specs[0])
     groups, passthrough = plan_fork_groups(specs)
-    assert passthrough == []
-    assert sorted(len(g) for g in groups) == [2, 2]
-    for group in groups:
-        assert len({specs[i].seed for i in group}) == 1
+    assert groups == []
+    assert passthrough == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------
@@ -171,3 +172,25 @@ def test_run_wrapper_uses_fork_path():
     forked = SerialSweepRunner(fork=True).run(specs)
     assert forked.summaries == cold.summaries
     assert forked.failures == cold.failures
+
+
+def test_fork_keeps_snapshot_specs_cold(tmp_path):
+    """A spec with a ``snapshot_dir`` saves its own ``<digest>.snap``,
+    so it is never relabeled from another spec's run: every file
+    exists, and every outcome equals the cold one."""
+    specs = [
+        spec
+        for base in range(3)
+        for spec in expand_grid(
+            ["gdnpeu"], ["dom-nontso"], base_seed=base,
+            snapshot_dir=str(tmp_path),
+        )
+    ]
+    forked = SerialSweepRunner(fork=True).run_outcomes(specs)
+    missing = [
+        spec.label()
+        for spec in specs
+        if not (tmp_path / f"{spec.digest()}.snap").exists()
+    ]
+    assert missing == []
+    assert forked == SerialSweepRunner().run_outcomes(specs)

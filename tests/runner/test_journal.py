@@ -17,7 +17,6 @@ from repro.runner import (
     TrialSpec,
     TrialStatus,
     run_trial_outcome,
-    run_trial_spec,
 )
 from repro.runner.journal import (
     JOURNALED_STATUSES,

@@ -8,8 +8,6 @@ drop-in replacement for the reference serial path.
 
 import pickle
 
-import pytest
-
 from repro.core.matrix import run_matrix
 from repro.runner import (
     ParallelSweepRunner,

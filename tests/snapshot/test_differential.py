@@ -1,19 +1,20 @@
-"""Differential proof that snapshot/fork execution is exact.
+"""Differential proof that relabel-group execution is exact.
 
-The fork engine is only usable if a forked variant is *bit-identical*
-to a cold-started trial — same summaries, same visible-access traces,
-same structured event streams — for every speculation scheme.  These
-tests run the comparison exhaustively.
+``fork=True`` runs one trial per group of inert-seed variants and
+relabels its summary for every member, so it is only usable if every
+relabeled outcome is *bit-identical* to a cold-started trial — same
+summaries and, underneath them, the same structured event streams — for
+every speculation scheme.  These tests run the comparison exhaustively.
 """
 
 import pytest
 
 from repro.core.harness import run_victim_trial
 from repro.core.victims import victim_by_name
-from repro.runner import SerialSweepRunner, TrialSpec
+from repro.runner import SerialSweepRunner, TrialSpec, TrialStatus
+from repro.runner.spec import stream_dependent
 from repro.schemes.registry import SCHEME_FACTORIES
-from repro.snapshot.fork import _begin, _probe_to_fork_point
-from repro.staticcheck.sanitizer import InvariantSanitizer
+from repro.snapshot import plan_fork_groups
 from repro.trace import Tracer
 
 ALL_SCHEMES = sorted(SCHEME_FACTORIES)
@@ -44,71 +45,35 @@ def test_fork_bit_identical_summaries(scheme):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_fork_bit_identical_event_trace(scheme):
-    """A variant forked at the automatically found fork point emits the
-    exact event stream of a cold run with that secret — full tracer,
-    every kind."""
+    """What relabeling stands on, at event level: with an inert seed, a
+    cold run at every other seed emits the exact event stream of the
+    run the group's first spec made — full tracer, every kind."""
     victim = victim_by_name("gdnpeu")
-    spec = TrialSpec(victim="gdnpeu", scheme=scheme, secret=1, seed=7)
-    setup = _begin(spec, victim, Tracer())
-    secret_line = setup.machine.hierarchy.llc.layout.line_addr(
-        victim.secret_addr
-    )
-    fork_cycle, fork_snap = _probe_to_fork_point(setup, secret_line)
-    if fork_snap is None:
-        pytest.skip(f"{scheme}: secret never sampled on this victim")
-
-    # Fork the *other* secret from the probe's shared prefix.
-    setup.machine.restore(fork_snap)
-    setup.machine.hierarchy.memory.poke(victim.secret_addr, 0)
-    setup.machine.run(
-        until=lambda: setup.core.halted,
-        max_cycles=spec.max_cycles - fork_cycle,
-        fast_forward=True,
-    )
-    forked_events = list(setup.machine.tracer.events)
-
-    cold_tracer = Tracer()
-    cold = run_victim_trial(victim, scheme, 0, seed=7, tracer=cold_tracer)
-    assert setup.machine.cycle == cold.cycles
-    assert forked_events == list(cold_tracer.events)
-
-
-@pytest.mark.parametrize(
-    "scheme", ["unsafe", "dom-nontso", "stt", "muontrap", "invisispec-spectre"]
-)
-def test_restored_state_satisfies_invariants(scheme):
-    """A restored fork snapshot is a valid pipeline state: run the
-    suffix under the cycle-level invariant sanitizer and require every
-    check to pass."""
-    victim = victim_by_name("gdnpeu")
-    spec = TrialSpec(victim="gdnpeu", scheme=scheme, secret=1, seed=3)
-    setup = _begin(spec, victim, Tracer())
-    secret_line = setup.machine.hierarchy.llc.layout.line_addr(
-        victim.secret_addr
-    )
-    fork_cycle, fork_snap = _probe_to_fork_point(setup, secret_line)
-    if fork_snap is None:
-        pytest.skip(f"{scheme}: secret never sampled on this victim")
-    machine, core = setup.machine, setup.core
-    machine.restore(fork_snap)
-    machine.hierarchy.memory.poke(victim.secret_addr, 0)
-    sanitizer = InvariantSanitizer().attach(core)
-    machine.fault_injector = sanitizer  # also disables fast-forward
-    machine.run(
-        until=lambda: core.halted, max_cycles=spec.max_cycles - fork_cycle
-    )
-    assert core.halted
-    assert sanitizer.invariant_checks > 0
+    spec = TrialSpec(victim="gdnpeu", scheme=scheme, secret=1, seed=SEEDS[0])
+    assert not stream_dependent(spec)
+    traces = []
+    for seed in SEEDS:
+        tracer = Tracer()
+        run_victim_trial(victim, scheme, 1, seed=seed, tracer=tracer)
+        traces.append(list(tracer.events))
+    assert traces[0]
+    for trace in traces[1:]:
+        assert trace == traces[0]
 
 
 def test_fork_group_with_failing_member_falls_back():
-    """A spec whose trial deadlocks must surface the same structured
-    failure whether or not forking is enabled."""
+    """A relabel group whose first spec deadlocks goes to the cold
+    path, which reports the same structured failure for every member
+    as a sweep without relabeling."""
     specs = [
-        TrialSpec(victim="gdnpeu", scheme="unsafe", secret=s, max_cycles=40)
-        for s in SECRETS
+        TrialSpec(
+            victim="gdnpeu", scheme="unsafe", secret=1, seed=seed,
+            max_cycles=40,
+        )
+        for seed in SEEDS[:2]
     ]
+    assert plan_fork_groups(specs) == ([[0, 1]], [])
     cold = SerialSweepRunner().run_outcomes(specs)
     forked = SerialSweepRunner(fork=True).run_outcomes(specs)
-    assert [o.status for o in cold] == [o.status for o in forked]
+    assert [o.status for o in cold] == [TrialStatus.DEADLOCK] * 2
     assert forked == cold

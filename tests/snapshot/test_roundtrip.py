@@ -13,6 +13,7 @@ from repro.core.harness import begin_victim_trial
 from repro.core.victims import victim_by_name
 from repro.schemes.registry import SCHEME_FACTORIES
 from repro.snapshot import schema_components, state_schema_hash
+from repro.staticcheck.sanitizer import InvariantSanitizer
 from repro.trace import Tracer
 
 ALL_SCHEMES = sorted(SCHEME_FACTORIES)
@@ -78,6 +79,28 @@ def test_resumed_run_matches_uninterrupted(scheme, cycles):
         list(machine.hierarchy.visible_log),
     )
     assert resumed == reference
+
+
+@pytest.mark.parametrize(
+    "scheme", ["unsafe", "dom-nontso", "stt", "muontrap", "invisispec-spectre"]
+)
+def test_restored_state_satisfies_invariants(scheme):
+    """A restored mid-run snapshot is a valid pipeline state: run to
+    halt, restore the capture, and run the rest under the cycle-level
+    invariant sanitizer; every check must pass."""
+    setup = _setup(scheme, seed=3)
+    machine, core = setup.machine, setup.core
+    while machine.cycle < 60 and not core.halted:
+        machine.step()
+    assert len(core.rob) > 0  # mid-run: instructions in flight
+    snap = machine.capture()
+    machine.run(until=lambda: core.halted, max_cycles=20_000)
+    machine.restore(snap)
+    sanitizer = InvariantSanitizer().attach(core)
+    machine.fault_injector = sanitizer  # also disables fast-forward
+    machine.run(until=lambda: core.halted, max_cycles=20_000)
+    assert core.halted
+    assert sanitizer.invariant_checks > 0
 
 
 def test_restore_preserves_container_identity():

@@ -1,8 +1,6 @@
 """Executor semantics: windows, policies, pressure, and the calibration
 matrix (symbolic side only — grounding lives in test_matrix_agreement)."""
 
-import pytest
-
 from repro.core.victims import victim_by_name
 from repro.isa.builder import ProgramBuilder
 from repro.isa.symbolic import SecretSpace

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.memory.hierarchy import AccessKind
 from repro.system.agent import AttackerAgent
 from repro.system.machine import Machine
 from repro.system.noise import NoiseInjector

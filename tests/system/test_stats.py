@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.isa import ProgramBuilder
 from repro.system.machine import Machine
 from repro.system.stats import core_report, machine_report

@@ -4,7 +4,7 @@ the interpreter and the pipeline, and has the bottleneck it claims."""
 import pytest
 
 from repro.isa import Interpreter
-from repro.workloads.synthetic import SyntheticWorkload, synthetic_suite, workload_by_name
+from repro.workloads.synthetic import synthetic_suite, workload_by_name
 
 from tests.conftest import run_on_scheme
 
