@@ -143,9 +143,7 @@ class TrialSetup:
     :func:`finish_victim_trial`.  The split exists for the batched
     engine (:mod:`repro.batch.engine`), which installs its lockstep
     mirror on the prepared machine before the leader runs it through
-    the same observation code the cold path uses, and for
-    :func:`repro.snapshot.handle.rehydrate_trial`, which restores a
-    saved snapshot into a freshly prepared machine.
+    the same observation code the cold path uses.
     """
 
     spec: VictimSpec
@@ -294,7 +292,7 @@ def run_probe_phase(
     batched engine can vectorize it per lane.
 
     Mutates machine state (probe fills are real fills); callers collect
-    metrics/snapshots *after* the probe so every execution path agrees
+    metrics/snapshot handles *after* the probe so every execution path agrees
     on what the final state includes.
     """
     hierarchy = machine.hierarchy

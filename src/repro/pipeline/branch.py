@@ -28,34 +28,6 @@ class BranchPredictor(ABC):
     def reset(self) -> None:
         """Forget all history (optional)."""
 
-    # -- snapshot -------------------------------------------------------
-    def capture_state(self) -> tuple:
-        """Generic over subclasses: predictor state is plain ints/bools
-        plus dicts/lists of them, all living in ``__dict__``."""
-        return tuple(
-            (
-                name,
-                dict(value)
-                if isinstance(value, dict)
-                else list(value)
-                if isinstance(value, list)
-                else value,
-            )
-            for name, value in sorted(self.__dict__.items())
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        for name, value in state:
-            setattr(
-                self,
-                name,
-                dict(value)
-                if isinstance(value, dict)
-                else list(value)
-                if isinstance(value, list)
-                else value,
-            )
-
 
 class TwoBitPredictor(BranchPredictor):
     """Classic 2-bit saturating counters, one per branch PC."""

@@ -20,13 +20,7 @@ from repro.isa.program import Program
 from repro.memory.hierarchy import AccessKind, CacheHierarchy
 from repro.pipeline.branch import BranchPredictor, TwoBitPredictor
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.dyninstr import (
-    DynInstr,
-    Phase,
-    SourceOperand,
-    capture_dyninstr,
-    restore_dyninstr,
-)
+from repro.pipeline.dyninstr import DynInstr, Phase, SourceOperand
 from repro.pipeline.execution_unit import CommonDataBus, ExecutionUnit
 from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.reservation_station import ReservationStation
@@ -68,7 +62,7 @@ class CycleBudgetError(DeadlockError):
 
 
 #: Counter names of :class:`CoreStats`, in declaration order (doubles
-#: as its ``__slots__`` and its snapshot field order).
+#: as its ``__slots__``).
 CORE_STAT_FIELDS = (
     "cycles",
     "fetched",
@@ -884,157 +878,6 @@ class Core:
         if self.rob.oldest_unresolved_branch() is not None:
             return True
         return any(e.is_unresolved_branch for e in self.fetch_queue)
-
-    # ==================================================================
-    # snapshot
-    # ==================================================================
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = (
-        "instr_table",
-        "cycle",
-        "halted",
-        "stats",
-        "regfile",
-        "rob",
-        "rs",
-        "eus",
-        "cdb",
-        "lsu",
-        "seq_counter",
-        "fetch_pc",
-        "fetch_queue_seqs",
-        "fetch_stall_until",
-        "fetch_buffer",
-        "pending_redirect",
-        "halt_seen",
-        "producers",
-        "scoreboard",
-        "fences",
-        "last_progress_cycle",
-        "predictor",
-        "scheme",
-    )
-
-    def capture(self) -> Tuple:
-        """Capture the complete core state as flat tuples.
-
-        Every container holding :class:`DynInstr` objects is captured as
-        a sequence of ``seq`` ids; the instructions themselves are
-        captured exactly once each into an id-keyed table, so the
-        aliasing of one dynamic instruction across ROB/RS/EU/CDB/LSU/
-        fetch-queue survives a restore.
-        """
-        table: Dict[int, Tuple] = {}
-
-        def note(instr: DynInstr) -> None:
-            if instr.seq not in table:
-                table[instr.seq] = capture_dyninstr(instr)
-
-        for entry in self.rob:
-            note(entry)
-        for entry in self.rs:
-            note(entry)
-        for eu in self.eus:
-            for op in eu._in_flight:
-                note(op.instr)
-        for instr in self.cdb._queue:
-            note(instr)
-        for load in self.lsu._parked:
-            note(load)
-        for inflight in self.lsu._inflight:
-            note(inflight.instr)
-        for instr in self.fetch_queue:
-            note(instr)
-        return (
-            tuple(table.items()),
-            self.cycle,
-            self.halted,
-            tuple(getattr(self.stats, name) for name in CORE_STAT_FIELDS),
-            dict(self.regfile),
-            self.rob.capture(),
-            self.rs.capture(),
-            tuple(eu.capture() for eu in self.eus),
-            self.cdb.capture(),
-            self.lsu.capture(),
-            self._seq,
-            self.fetch_pc,
-            tuple(i.seq for i in self.fetch_queue),
-            self._fetch_stall_until,
-            tuple(self._fetch_buffer),
-            self._pending_redirect,
-            self._halt_seen,
-            dict(self._producers),
-            dict(self._scoreboard),
-            frozenset(self._fences),
-            self._last_progress_cycle,
-            self.predictor.capture_state(),
-            self.scheme.capture_state(),
-        )
-
-    def restore(self, state: Tuple) -> None:
-        (
-            table,
-            cycle,
-            halted,
-            stats,
-            regfile,
-            rob_state,
-            rs_state,
-            eus_state,
-            cdb_state,
-            lsu_state,
-            seq_counter,
-            fetch_pc,
-            fetch_queue_seqs,
-            fetch_stall_until,
-            fetch_buffer,
-            pending_redirect,
-            halt_seen,
-            producers,
-            scoreboard,
-            fences,
-            last_progress,
-            predictor_state,
-            scheme_state,
-        ) = state
-        program = self.program
-        # Rebuild one fresh DynInstr per captured seq; every container
-        # below resolves through this table, restoring aliasing.
-        instrs = {
-            seq: restore_dyninstr(instr_state, program.at(instr_state[1]))
-            for seq, instr_state in table
-        }
-        resolve = instrs.__getitem__
-        self.cycle = cycle
-        self.halted = halted
-        for name, value in zip(CORE_STAT_FIELDS, stats, strict=False):
-            setattr(self.stats, name, value)
-        self.regfile.clear()
-        self.regfile.update(regfile)
-        self.rob.restore(rob_state, resolve)
-        self.rs.restore(rs_state, resolve)
-        for eu, eu_state in zip(self.eus, eus_state, strict=False):
-            eu.restore(eu_state, resolve)
-        self.cdb.restore(cdb_state, resolve)
-        self.lsu.restore(lsu_state, resolve)
-        self._seq = seq_counter
-        self.fetch_pc = fetch_pc
-        self.fetch_queue.clear()
-        self.fetch_queue.extend(resolve(s) for s in fetch_queue_seqs)
-        self._fetch_stall_until = fetch_stall_until
-        self._fetch_buffer.clear()
-        self._fetch_buffer.extend(fetch_buffer)
-        self._pending_redirect = pending_redirect
-        self._halt_seen = halt_seen
-        self._producers = dict(producers)
-        self._scoreboard = dict(scoreboard)
-        self._fences = set(fences)
-        self._last_progress_cycle = last_progress
-        self.predictor.restore_state(predictor_state)
-        self.scheme.restore_state(scheme_state)
-        # Derived per-cycle state: recomputed at the top of every step,
-        # but restore it defensively for anything peeking between steps.
-        self.safety_flags = self.rob.safety_flags()
 
     # ==================================================================
     # diagnostics

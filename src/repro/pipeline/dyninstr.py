@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.isa.instructions import Instruction, OpClass
 
@@ -107,97 +107,3 @@ class DynInstr:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DynInstr(#{self.seq} {self.name} {self.phase.value})"
-
-
-# ----------------------------------------------------------------------
-# snapshot codec (used by repro.snapshot via Core.capture/restore)
-# ----------------------------------------------------------------------
-#: Bump when the capture tuple layout below changes.
-DYNINSTR_SNAP_VERSION = 1
-DYNINSTR_SNAP_SCHEMA = (
-    "seq",
-    "slot",
-    "pc_addr",
-    "phase",
-    "sources(reg,producer_seq,value)",
-    "value",
-    "addr",
-    "predicted_taken",
-    "actual_taken",
-    "resolved",
-    "load_state",
-    "became_safe",
-    "executed_invisibly",
-    "exposure_done",
-    "value_predicted",
-    "last_decision",
-)
-
-
-def capture_dyninstr(instr: DynInstr) -> Tuple:
-    """Flat tuple of one dynamic instruction's mutable state.
-
-    ``static`` is deliberately omitted: it is identified by ``slot`` and
-    re-resolved against the (immutable) program on restore, so captures
-    never hold instruction objects (whose compute lambdas are unhashable
-    and unpicklable).
-    """
-    return (
-        instr.seq,
-        instr.slot,
-        instr.pc_addr,
-        instr.phase,
-        tuple((s.reg, s.producer_seq, s.value) for s in instr.sources),
-        instr.value,
-        instr.addr,
-        instr.predicted_taken,
-        instr.actual_taken,
-        instr.resolved,
-        instr.load_state,
-        instr.became_safe,
-        instr.executed_invisibly,
-        instr.exposure_done,
-        instr.value_predicted,
-        instr.last_decision,
-    )
-
-
-def restore_dyninstr(state: Tuple, static: Instruction) -> DynInstr:
-    """Rebuild a fresh :class:`DynInstr` from :func:`capture_dyninstr`
-    output plus the static instruction resolved from the program."""
-    (
-        seq,
-        slot,
-        pc_addr,
-        phase,
-        sources,
-        value,
-        addr,
-        predicted_taken,
-        actual_taken,
-        resolved,
-        load_state,
-        became_safe,
-        executed_invisibly,
-        exposure_done,
-        value_predicted,
-        last_decision,
-    ) = state
-    instr = DynInstr(seq=seq, slot=slot, static=static, pc_addr=pc_addr)
-    instr.phase = phase
-    instr.sources = [
-        SourceOperand(reg=reg, producer_seq=producer, value=val)
-        for reg, producer, val in sources
-    ]
-    instr.value = value
-    instr.addr = addr
-    instr.predicted_taken = predicted_taken
-    instr.actual_taken = actual_taken
-    instr.resolved = resolved
-    instr.load_state = load_state
-    instr.became_safe = became_safe
-    instr.executed_invisibly = executed_invisibly
-    instr.exposure_done = exposure_done
-    instr.value_predicted = value_predicted
-    instr.last_decision = last_decision
-    return instr

@@ -13,7 +13,7 @@ result strictly after its broadcast cycle (one-cycle wakeup delay).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.pipeline.config import PortConfig
 from repro.pipeline.dyninstr import DynInstr
@@ -121,32 +121,6 @@ class ExecutionUnit:
         self._in_flight = [op for op in self._in_flight if op.instr.seq <= seq]
         return victims
 
-    # -- snapshot -------------------------------------------------------
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = (
-        "in_flight(seq,finish_cycle)",
-        "accepted_this_cycle",
-        "issues",
-        "busy_cycles",
-    )
-
-    def capture(self) -> Tuple:
-        return (
-            tuple((op.instr.seq, op.finish_cycle) for op in self._in_flight),
-            self._accepted_this_cycle,
-            self.issues,
-            self.busy_cycles,
-        )
-
-    def restore(self, state: Tuple, resolve) -> None:
-        in_flight, accepted, issues, busy = state
-        self._in_flight = [
-            _InFlight(resolve(seq), finish) for seq, finish in in_flight
-        ]
-        self._accepted_this_cycle = accepted
-        self.issues = issues
-        self.busy_cycles = busy
-
 
 class CommonDataBus:
     """Bandwidth-limited result broadcast (Fig. 1's shared CDB).
@@ -213,20 +187,3 @@ class CommonDataBus:
         victims = [i for i in self._queue if i.seq > seq]
         self._queue = [i for i in self._queue if i.seq <= seq]
         return victims
-
-    # -- snapshot -------------------------------------------------------
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = ("queue_seqs", "broadcasts", "stall_cycles")
-
-    def capture(self) -> Tuple:
-        return (
-            tuple(i.seq for i in self._queue),
-            self.broadcasts,
-            self.stall_cycles,
-        )
-
-    def restore(self, state: Tuple, resolve) -> None:
-        seqs, broadcasts, stalls = state
-        self._queue = [resolve(seq) for seq in seqs]
-        self.broadcasts = broadcasts
-        self.stall_cycles = stalls

@@ -15,7 +15,7 @@ The LSU owns every load between issue and data return:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.memory.hierarchy import AccessKind, CacheHierarchy
 from repro.memory.mshr import MSHRFile
@@ -359,45 +359,3 @@ class LoadStoreUnit:
 
     def outstanding(self) -> int:
         return len(self._parked) + len(self._inflight)
-
-    # -- snapshot -------------------------------------------------------
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = (
-        "occupancy",
-        "parked_seqs",
-        "inflight(seq,finish_cycle,mshr_line,visible,forwarded)",
-        "stats(5)",
-    )
-
-    def capture(self) -> Tuple:
-        return (
-            self._occupancy,
-            tuple(l.seq for l in self._parked),
-            tuple(
-                (f.instr.seq, f.finish_cycle, f.mshr_line, f.visible, f.forwarded)
-                for f in self._inflight
-            ),
-            (
-                self.stats_delayed,
-                self.stats_mshr_blocked_cycles,
-                self.stats_invisible,
-                self.stats_forwards,
-                self.stats_predicted,
-            ),
-        )
-
-    def restore(self, state: Tuple, resolve) -> None:
-        occupancy, parked, inflight, stats = state
-        self._occupancy = occupancy
-        self._parked = [resolve(seq) for seq in parked]
-        self._inflight = [
-            _InFlightLoad(resolve(seq), finish, mshr_line, visible, forwarded)
-            for seq, finish, mshr_line, visible, forwarded in inflight
-        ]
-        (
-            self.stats_delayed,
-            self.stats_mshr_blocked_cycles,
-            self.stats_invisible,
-            self.stats_forwards,
-            self.stats_predicted,
-        ) = stats

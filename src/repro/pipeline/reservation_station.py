@@ -11,7 +11,7 @@ holding slots until retirement via :attr:`hold_until_nonspec`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 from repro.pipeline.dyninstr import DynInstr
 
@@ -101,22 +101,3 @@ class ReservationStation:
         """A copy of the entries, oldest-first (age-ordered scheduling,
         §3.2)."""
         return list(self._entries)
-
-    # -- snapshot -------------------------------------------------------
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = ("entry_seqs", "occupied", "held", "peak_occupancy")
-
-    def capture(self) -> Tuple:
-        return (
-            tuple(e.seq for e in self._entries),
-            self._occupied,
-            tuple(self._held.items()),
-            self.peak_occupancy,
-        )
-
-    def restore(self, state: Tuple, resolve: Callable[[int], DynInstr]) -> None:
-        seqs, occupied, held, peak = state
-        self._entries = sorted((resolve(seq) for seq in seqs), key=_seq)
-        self._occupied = occupied
-        self._held = dict(held)
-        self.peak_occupancy = peak

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import OpClass
 from repro.pipeline.dyninstr import DynInstr, Phase
@@ -230,19 +230,3 @@ class ROB:
                 break
             older.append(store)
         return older
-
-    # -- snapshot -------------------------------------------------------
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = ("entry_seqs",)
-
-    def capture(self) -> Tuple:
-        """Entry identities only; the instruction objects themselves are
-        captured once, per seq, by the owning core."""
-        return (tuple(e.seq for e in self._entries),)
-
-    def restore(self, state: Tuple, resolve: Callable[[int], DynInstr]) -> None:
-        (seqs,) = state
-        for container in (self._entries, self.loads, self.stores, self.branches):
-            container.clear()
-        for seq in seqs:
-            self.push(resolve(seq))

@@ -23,8 +23,7 @@ differ and which attacks each enables).
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.pipeline.dyninstr import DynInstr
 from repro.pipeline.rob import SafetyFlags
@@ -163,44 +162,6 @@ class SpeculationScheme:
 
     def reset(self) -> None:
         """Clear any per-run scheme state."""
-
-    # -- snapshot ----------------------------------------------------------
-    #: Names of the instance attributes that make up the scheme's
-    #: transient per-run state.  Subclasses with state list theirs here;
-    #: the generic :meth:`capture_state` / :meth:`restore_state` then
-    #: cover them.  Listing *fields*, not values, keeps bound methods
-    #: (e.g. the invariant sanitizer's instance-level hook wrappers) out
-    #: of snapshots.
-    snap_fields: Tuple[str, ...] = ()
-
-    @staticmethod
-    def _copy_value(value):
-        """Shallow-copy containers (one level into dict values, so
-        SafeSpec's per-core OrderedDicts copy too); share immutables."""
-        if isinstance(value, OrderedDict):
-            return OrderedDict(
-                (k, SpeculationScheme._copy_value(v)) for k, v in value.items()
-            )
-        if isinstance(value, dict):
-            return {
-                k: SpeculationScheme._copy_value(v) for k, v in value.items()
-            }
-        if isinstance(value, set):
-            return set(value)
-        if isinstance(value, list):
-            return list(value)
-        return value
-
-    def capture_state(self) -> Tuple:
-        """Flat (name, value) state tuple over :attr:`snap_fields`."""
-        return tuple(
-            (name, self._copy_value(getattr(self, name)))
-            for name in self.snap_fields
-        )
-
-    def restore_state(self, state: Tuple) -> None:
-        for name, value in state:
-            setattr(self, name, self._copy_value(value))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<scheme {self.name}>"

@@ -2,13 +2,15 @@
 
 A finished trial is a pure function of its :class:`TrialSpec` (victim
 program + config + scheme + secret + seed — all folded into
-``spec.digest()``) and of the simulator's state layout (the snapshot
-state-schema hash, which changes whenever a component's captured state
-changes shape).  The cache keys memoized
-:class:`~repro.runner.spec.TrialOutcome`s on the SHA-256 of both, so a
-re-run of the same sweep on the same build returns byte-identical
-results without simulating, while any simulator change that could
-alter results invalidates every stale entry by construction.
+``spec.digest()``) and of the simulator build.  The cache keys
+memoized :class:`~repro.runner.spec.TrialOutcome`s on the SHA-256 of
+the spec digest and :func:`~repro.snapshot.schema.state_schema_hash`,
+so a re-run of the same sweep on the same build returns byte-identical
+results without simulating.  That hash covers only the captured state
+layout of the five memory components: a layout change turns every
+stale entry into a miss, but a change to simulator behaviour that
+keeps the layout does not move the key.  After such a change, use a
+fresh ``cache_dir``.
 
 Entries are JSON files (the checkpoint journal's codec, one outcome
 per file) sharded into 256 two-hex-character subdirectories.  Writes
@@ -62,7 +64,7 @@ TMP_GRACE_SECONDS = 300.0
 
 
 def cache_key(spec: TrialSpec, schema_hash: Optional[str] = None) -> str:
-    """SHA-256 over the spec digest and the snapshot state-schema hash."""
+    """SHA-256 over the spec digest and the state-layout hash."""
     if schema_hash is None:
         from repro.snapshot.schema import state_schema_hash
 

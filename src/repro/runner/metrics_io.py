@@ -74,13 +74,19 @@ def write_sweep_metrics(path, result: SweepResult) -> str:
 
 
 def read_sweep_metrics(path) -> List[Dict[str, Any]]:
-    """All records from a sweep-metrics dump, in file order."""
+    """All records from a sweep-metrics dump, in file order; an
+    undecodable line (the torn tail of an interrupted dump) is
+    skipped."""
     records = []
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(json.loads(line))
+            except ValueError:
+                continue
     return records
 
 

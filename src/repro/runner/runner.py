@@ -99,18 +99,19 @@ def backoff_delay(round_no: int, *, rng: Optional[random.Random] = None) -> floa
 _PLAN_UNSET = object()
 
 
-def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
-    """Execute one trial from its picklable description (strict path:
-    simulator faults propagate).
+def begin_trial_spec(spec: TrialSpec, *, fault_injector=None):
+    """Prepare one trial from its picklable description, exactly as the
+    cold path runs it; returns the :class:`~repro.core.harness.TrialSetup`
+    (its ``spec`` is the victim built from the registry).
 
-    Module-level (picklable by reference) and self-contained: builds the
-    victim from the registry and the Machine/Core inside the calling
-    process, so it works identically in the parent and in pool workers.
+    Builds the victim from the registry and the Machine/Core inside the
+    calling process, so it works identically in the parent, in pool
+    workers and when a snapshot handle is replayed.
     """
     # Imported here, not at module top: pool workers (re-)import this
     # module before running anything, and the light import keeps worker
     # spin-up cheap when the pool is larger than the task list.
-    from repro.core.harness import run_victim_trial
+    from repro.core.harness import begin_victim_trial
     from repro.core.victims import victim_by_name
 
     victim = victim_by_name(spec.victim, **dict(spec.victim_kwargs))
@@ -125,7 +126,7 @@ def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
         from repro.trace.events import STAGE_KINDS
 
         tracer = Tracer(kinds=STAGE_KINDS)
-    result = run_victim_trial(
+    return begin_victim_trial(
         victim,
         spec.scheme,
         spec.secret,
@@ -140,7 +141,29 @@ def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
         fault_injector=fault_injector,
         sanitize=spec.sanitize,
     )
-    return summarize_trial(spec, victim, result)
+
+
+def run_trial_spec(spec: TrialSpec, *, fault_injector=None) -> TrialSummary:
+    """Execute one trial from its picklable description (strict path:
+    simulator faults propagate).
+
+    Module-level (picklable by reference) and self-contained, like
+    :func:`begin_trial_spec`.
+    """
+    from repro.core.harness import finish_victim_trial
+
+    setup = begin_trial_spec(spec, fault_injector=fault_injector)
+    return summarize_trial(spec, setup.spec, finish_victim_trial(setup))
+
+
+def run_spec_probe_phase(spec: TrialSpec, machine) -> Optional[Tuple[int, ...]]:
+    """Run the spec's attacker probe phase on a finished trial's
+    machine; None when the spec has no probe accesses."""
+    if not spec.probe_accesses:
+        return None
+    from repro.core.harness import run_probe_phase
+
+    return run_probe_phase(machine, spec.probe_accesses)
 
 
 def summarize_trial(
@@ -152,7 +175,7 @@ def summarize_trial(
 
     Runs the spec's attacker probe phase first (unless the caller
     already ran it and passes ``probe_latencies``), so metrics and
-    snapshots capture the post-probe state on every execution path.
+    snapshot handles see the post-probe state on every execution path.
     Metrics read the stage events of the trial's tracer.
     """
     if result.core is None:
@@ -161,12 +184,8 @@ def summarize_trial(
         raise RuntimeError(
             f"run_victim_trial returned no core handle for {spec.label()}"
         )
-    if spec.probe_accesses and probe_latencies is None:
-        from repro.core.harness import run_probe_phase
-
-        probe_latencies = run_probe_phase(
-            result.machine, spec.probe_accesses
-        )
+    if probe_latencies is None:
+        probe_latencies = run_spec_probe_phase(spec, result.machine)
     metrics = None
     if spec.collect_metrics:
         from repro.system.stats import machine_metrics
@@ -264,6 +283,25 @@ def _failure_outcome(
         error_type=type(exc).__name__ if exc is not None else None,
         error_message=str(exc) if exc is not None else None,
         cycle=cycle,
+    )
+
+
+def retries_exhausted_outcome(
+    spec: TrialSpec, status: TrialStatus, attempts: int
+) -> TrialOutcome:
+    """The failure recorded for a spec whose retries ran out; ``status``
+    is the transient failure that used up its last attempt.  The
+    parallel runner and the service supervisor both report it."""
+    return TrialOutcome(
+        digest=spec.digest(),
+        victim=spec.victim,
+        scheme=spec.scheme,
+        secret=spec.secret,
+        seed=spec.seed,
+        status=status,
+        attempts=attempts,
+        error_type="RetriesExhausted",
+        error_message=f"gave up after {attempts} attempt(s) ({status.value})",
     )
 
 
@@ -766,20 +804,8 @@ class ParallelSweepRunner(SweepRunner):
                 if outcomes[i] is not None:
                     continue
                 if attempts[i] > self.max_retries:
-                    status = exhausted_status[i]
-                    outcomes[i] = TrialOutcome(
-                        digest=specs[i].digest(),
-                        victim=specs[i].victim,
-                        scheme=specs[i].scheme,
-                        secret=specs[i].secret,
-                        seed=specs[i].seed,
-                        status=status,
-                        attempts=attempts[i],
-                        error_type="RetriesExhausted",
-                        error_message=(
-                            f"gave up after {attempts[i]} attempt(s) "
-                            f"({status.value})"
-                        ),
+                    outcomes[i] = retries_exhausted_outcome(
+                        specs[i], exhausted_status[i], attempts[i]
                     )
                     continue
                 todo.append(i)

@@ -49,11 +49,13 @@ class TrialSpec:
     #: trace.  The summary then carries ``metrics`` (the registry's
     #: ``to_json`` form) and sweeps can aggregate across trials.
     collect_metrics: bool = False
-    #: Directory to save an end-of-trial machine snapshot handle into
-    #: (see :mod:`repro.snapshot.handle`).  The summary then carries
-    #: ``snapshot_path`` — a string, so worker transport stays lean —
-    #: and the full microarchitectural state can be rehydrated later
-    #: for inspection.  None (the default) saves nothing.
+    #: Directory to write an end-of-trial snapshot handle into (see
+    #: :mod:`repro.snapshot.handle`): a small JSON replay recipe that
+    #: names this spec by digest and fingerprints the final state.
+    #: The summary then carries ``snapshot_path`` — a string, so worker
+    #: transport stays lean — and :func:`repro.snapshot.rehydrate_trial`
+    #: later replays the spec to that verified state for inspection.
+    #: None (the default) writes nothing.
     snapshot_dir: Optional[str] = None
     #: Attacker probe-phase addresses: after the victim window ends, the
     #: attacker evicts its own private copies of each address and issues
@@ -125,10 +127,10 @@ class TrialSummary:
     #: :meth:`repro.trace.MetricsRegistry.to_json` form, when the spec
     #: asked for them (``collect_metrics=True``); None otherwise.
     metrics: Optional[Dict[str, object]] = None
-    #: Path of the saved end-of-trial snapshot handle, when the spec
-    #: asked for one (``snapshot_dir=``); None otherwise.  A path, not
-    #: the state itself: simulator objects never cross process
-    #: boundaries.
+    #: Path of the end-of-trial snapshot handle, when the spec asked
+    #: for one (``snapshot_dir=``); None otherwise.  The handle is a
+    #: replay recipe with a state fingerprint, not the state itself:
+    #: simulator objects never cross process boundaries.
     snapshot_path: Optional[str] = None
     #: Observed probe-phase latencies, aligned with the spec's
     #: ``probe_accesses``; None when the spec scheduled no probe.

@@ -30,8 +30,6 @@ class CleanupSpec(SpeculationScheme):
     protects_icache = False
     safety = SafetyModel.SPECTRE
 
-    snap_fields = ("_undo_log", "rollbacks")
-
     def __init__(self) -> None:
         #: (core_id, load seq) -> filled line (for rollback).
         self._undo_log: Dict[Tuple[int, int], int] = {}

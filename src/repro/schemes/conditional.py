@@ -29,8 +29,6 @@ class ConditionalSpeculation(SpeculationScheme):
     protects_icache = True
     safety = SafetyModel.FUTURISTIC
 
-    snap_fields = ("_deferred_touch", "invisible_hits", "delayed_misses")
-
     def __init__(self) -> None:
         self._deferred_touch: Dict[Tuple[int, int], int] = {}
         self.invisible_hits = 0

@@ -44,15 +44,6 @@ class DelayOnMiss(SpeculationScheme):
 
     protects_icache = False  # I-cache accesses are unprotected (§3.2.2)
 
-    snap_fields = (
-        "_deferred_touch",
-        "_last_value",
-        "delayed_misses",
-        "invisible_hits",
-        "value_predictions",
-        "value_mispredictions",
-    )
-
     def __init__(
         self, memory_model: str = "nontso", *, value_predict: bool = False
     ) -> None:

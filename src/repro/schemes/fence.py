@@ -30,8 +30,6 @@ class FenceDefense(SpeculationScheme):
 
     protects_icache = True  # nothing speculative may touch any cache
 
-    snap_fields = ("issue_blocks",)
-
     def __init__(self, model: str = "spectre") -> None:
         if model not in ("spectre", "futuristic"):
             raise ValueError("model must be 'spectre' or 'futuristic'")

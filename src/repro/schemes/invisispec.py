@@ -30,8 +30,6 @@ class InvisiSpec(SpeculationScheme):
 
     protects_icache = False
 
-    snap_fields = ("invisible_loads", "exposures")
-
     def __init__(self, mode: str = "spectre") -> None:
         if mode not in ("spectre", "futuristic"):
             raise ValueError("mode must be 'spectre' or 'futuristic'")

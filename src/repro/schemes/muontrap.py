@@ -104,29 +104,3 @@ class MuonTrap(SpeculationScheme):
 
     def reset(self) -> None:
         self._filters.clear()
-
-    # -- snapshot -------------------------------------------------------
-    snap_fields = ("filter_hits", "filter_fills", "promotions")
-
-    def capture_state(self):
-        """Counters via the generic path plus a nested capture of each
-        per-core filter cache (a full :class:`Cache`, not plain data)."""
-        return (
-            super().capture_state(),
-            tuple(
-                (core_id, filt.capture())
-                for core_id, filt in self._filters.items()
-            ),
-        )
-
-    def restore_state(self, state) -> None:
-        counters, filters = state
-        super().restore_state(counters)
-        # Rebuild lazily-created filters so a probe that never touched a
-        # core's filter does not leave a stale one behind.
-        live = {core_id for core_id, _ in filters}
-        for core_id in list(self._filters):
-            if core_id not in live:
-                del self._filters[core_id]
-        for core_id, filt_state in filters:
-            self.filter_for(core_id).restore(filt_state)

@@ -74,10 +74,3 @@ class PriorityDefense(SpeculationScheme):
 
     def reset(self) -> None:
         self.base.reset()
-
-    # The wrapper itself is stateless; snapshot the wrapped scheme.
-    def capture_state(self):
-        return self.base.capture_state()
-
-    def restore_state(self, state) -> None:
-        self.base.restore_state(state)

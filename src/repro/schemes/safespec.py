@@ -30,8 +30,6 @@ class SafeSpec(SpeculationScheme):
 
     protects_icache = True
 
-    snap_fields = ("_shadow", "shadow_hits", "invisible_loads", "exposures")
-
     def __init__(self, mode: str = "wfb", *, shadow_lines: int = 16) -> None:
         if mode not in ("wfb", "wfc"):
             raise ValueError("mode must be 'wfb' or 'wfc'")

@@ -43,8 +43,6 @@ class STT(SpeculationScheme):
 
     protects_icache = False
 
-    snap_fields = ("_taint", "_safe_roots", "blocked_issues", "tainted_values")
-
     def __init__(self, mode: str = "spectre") -> None:
         if mode not in ("spectre", "futuristic"):
             raise ValueError("mode must be 'spectre' or 'futuristic'")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.runner.journal import outcome_from_json
-from repro.runner.runner import backoff_delay
+from repro.runner.runner import backoff_delay, retries_exhausted_outcome
 from repro.runner.spec import SweepResult, TrialOutcome, TrialSpec, TrialStatus
 from repro.service import stream, wal
 from repro.service.codec import spec_to_json, sweep_result_to_json
@@ -296,8 +296,8 @@ class SweepSupervisor:
             job.attempts[digest] += 1
             if job.attempts[digest] > self.max_retries:
                 spec = job.specs[job.digests.index(digest)]
-                job.exhausted[digest] = _exhausted_outcome(
-                    spec, job.attempts[digest]
+                job.exhausted[digest] = retries_exhausted_outcome(
+                    spec, TrialStatus.WORKER_LOST, job.attempts[digest]
                 )
             else:
                 # Jittered backoff decorrelates the resubmission wave
@@ -461,19 +461,3 @@ class SweepSupervisor:
                 process=process,
             )
         )
-
-
-def _exhausted_outcome(spec: TrialSpec, attempts: int) -> TrialOutcome:
-    return TrialOutcome(
-        digest=spec.digest(),
-        victim=spec.victim,
-        scheme=spec.scheme,
-        secret=spec.secret,
-        seed=spec.seed,
-        status=TrialStatus.WORKER_LOST,
-        attempts=attempts,
-        error_type="RetriesExhausted",
-        error_message=(
-            f"chunk lease reclaimed {attempts} time(s); giving up"
-        ),
-    )

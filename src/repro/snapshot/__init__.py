@@ -1,14 +1,12 @@
-"""Machine snapshots: capture, persist, rehydrate — plus relabel groups.
+"""Trial snapshot handles, the state-layout hash, and relabel groups.
 
-Built on the per-component ``capture()``/``restore()`` protocol
-(Machine, Core, ROB, reservation station, execution units, CDB, LSU,
-caches, MSHRs, coherence directory, main memory, schemes, predictors —
-all flat typed tuples, no ``copy.deepcopy``):
-
-* :mod:`repro.snapshot.schema` — state-schema hash versioning every
-  persisted artifact derived from simulator state;
-* :mod:`repro.snapshot.handle` — portable end-of-trial snapshot
-  save/rehydrate for post-hoc state inspection.
+* :mod:`repro.snapshot.handle` — a snapshot handle is a replay recipe:
+  a small JSON file naming a finished trial's spec by digest and
+  fingerprinting its final state.  :func:`rehydrate_trial` replays the
+  spec and checks the fingerprint, for post-hoc state inspection.
+* :mod:`repro.snapshot.schema` — the hash over the captured layouts of
+  the five memory components, which the trial cache keys on and
+  handles record.
 
 :mod:`repro.snapshot.fork` is the sweep runner's ``fork=True`` layer
 and needs no snapshot at all: it groups specs that differ only in an
@@ -21,7 +19,6 @@ from repro.snapshot.handle import (
     SnapshotSchemaError,
     load_snapshot,
     rehydrate_trial,
-    save_snapshot,
     save_trial_snapshot,
 )
 from repro.snapshot.schema import schema_components, state_schema_hash
@@ -32,7 +29,6 @@ __all__ = [
     "plan_fork_groups",
     "run_fork_group",
     "group_key",
-    "save_snapshot",
     "save_trial_snapshot",
     "load_snapshot",
     "rehydrate_trial",

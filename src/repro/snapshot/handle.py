@@ -1,49 +1,75 @@
-"""Portable snapshot handles: save machine state, rehydrate later.
+"""Snapshot handles: a replay recipe for one finished trial.
 
-A handle is a pickled, schema-versioned machine capture with the one
-non-portable element — the scheduled-action heap, which holds closures
-— stripped (the number of still-pending actions is recorded instead).
-Handles are for *post-hoc inspection* of a finished trial's
-microarchitectural state: sweeps ship the handle's **path** in the
-summary (lean transport), and an analysis process rebuilds the machine
-from the trial's picklable spec and restores the capture into it.
+A trial is a pure function of its :class:`~repro.runner.spec.TrialSpec`,
+so a handle stores no machine state.  It is a small JSON file,
+``<digest>.snap``, holding the handle version, the
+:func:`~repro.snapshot.schema.state_schema_hash` of the build that
+wrote it, the spec digest, and a fingerprint of the trial's final
+state: the machine cycle; each core's halted flag, retired count and
+registers; and a hash of the memory hierarchy's capture.
+
+Sweeps ship the handle's *path* in the summary (lean transport).
+:func:`rehydrate_trial` replays the spec through the cold path's own
+code and checks the replay against the fingerprint, so an analysis
+process gets the trial's final machine back, live, for post-hoc
+inspection of its microarchitectural state.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
-import pickle
 import tempfile
-from typing import Tuple
+from typing import Any, Dict
 
-HANDLE_VERSION = 1
+HANDLE_VERSION = 2
 
 
 class SnapshotSchemaError(RuntimeError):
-    """The handle was written by a build with a different state layout."""
+    """The handle cannot be replayed by this build: it was written with
+    another state layout, is unreadable or of an old format, names
+    another spec, or its replay does not reach the recorded state."""
 
 
-def save_snapshot(machine, path: str) -> int:
-    """Pickle ``machine``'s capture to ``path`` (atomically).
+def state_fingerprint(machine) -> Dict[str, Any]:
+    """JSON-ready fingerprint of ``machine``'s current state."""
+    hierarchy = repr(machine.hierarchy.capture()).encode()
+    return {
+        "cycle": machine.cycle,
+        "cores": [
+            {
+                "core": core_id,
+                "halted": core.halted,
+                "retired": core.stats.retired,
+                "registers": dict(core.regfile),
+            }
+            for core_id, core in sorted(machine.cores.items())
+        ],
+        "hierarchy": hashlib.sha256(hierarchy).hexdigest(),
+    }
 
-    Returns the number of pending scheduled actions that were dropped
-    (closures cannot travel; a finished trial normally has none left).
-    """
+
+def save_trial_snapshot(machine, spec, snapshot_dir: str) -> str:
+    """Write the handle of a finished trial under its spec digest
+    (atomically); returns the handle path, which
+    :attr:`TrialSummary.snapshot_path` carries."""
     from repro.snapshot.schema import state_schema_hash
 
-    cycle, counter, scheduled, cores, hierarchy, tracer = machine.capture()
-    payload = {
+    digest = spec.digest()
+    handle = {
         "version": HANDLE_VERSION,
         "schema": state_schema_hash(),
-        "dropped_actions": len(scheduled),
-        "state": (cycle, counter, [], cores, hierarchy, tracer),
+        "digest": digest,
+        "fingerprint": state_fingerprint(machine),
     }
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.fspath(snapshot_dir)
     os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, digest + ".snap")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".snap")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(handle, fh, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -51,66 +77,59 @@ def save_snapshot(machine, path: str) -> int:
         except OSError:
             pass
         raise
-    return payload["dropped_actions"]
-
-
-def load_snapshot(path: str) -> Tuple[tuple, dict]:
-    """Read a handle; returns ``(state, meta)``.
-
-    Raises :class:`SnapshotSchemaError` when the handle's state layout
-    does not match this build — restoring it would mis-wire fields.
-    """
-    from repro.snapshot.schema import state_schema_hash
-
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("schema") != state_schema_hash():
-        raise SnapshotSchemaError(
-            f"snapshot {path} was written with state schema "
-            f"{payload.get('schema')!r}; this build is "
-            f"{state_schema_hash()!r}"
-        )
-    meta = {
-        "version": payload["version"],
-        "schema": payload["schema"],
-        "dropped_actions": payload["dropped_actions"],
-    }
-    return payload["state"], meta
-
-
-def save_trial_snapshot(machine, spec, snapshot_dir: str) -> str:
-    """Save a finished trial's machine under its spec digest; returns
-    the handle path (what :attr:`TrialSummary.snapshot_path` carries)."""
-    path = os.path.join(os.fspath(snapshot_dir), spec.digest() + ".snap")
-    save_snapshot(machine, path)
     return path
 
 
-def rehydrate_trial(spec, path: str):
-    """Rebuild a machine from ``spec`` and restore the handle into it.
+def load_snapshot(path: str) -> Dict[str, Any]:
+    """Read a handle and return it as a dict.
 
-    Returns the restored :class:`~repro.core.harness.TrialSetup`.  The
-    machine is reconstructed exactly as the worker built it (same
-    victim, scheme, priming), then overwritten with the captured state;
-    scheduled actions are not preserved, so the result is for state
-    inspection, not bit-exact resumption of pending attacker actions.
+    Raises :class:`SnapshotSchemaError` when the file is not a handle of
+    this format (a version-1 pickle, say) or was written by a build
+    with a different state layout.
     """
-    from repro.core.harness import begin_victim_trial
-    from repro.core.victims import victim_by_name
+    from repro.snapshot.schema import state_schema_hash
 
-    state, _meta = load_snapshot(path)
-    victim = victim_by_name(spec.victim, **dict(spec.victim_kwargs))
-    setup = begin_victim_trial(
-        victim,
-        spec.scheme,
-        spec.secret,
-        hierarchy_config=spec.hierarchy_config,
-        reference_accesses=spec.reference_accesses,
-        noise_rate=spec.noise_rate,
-        noise_pool=spec.noise_pool,
-        seed=spec.seed,
-        max_cycles=spec.max_cycles,
-        extra_lines=spec.extra_lines,
-    )
-    setup.machine.restore(state)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            handle = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise SnapshotSchemaError(f"snapshot {path} is unreadable: {exc}") from exc
+    if not isinstance(handle, dict) or handle.get("version") != HANDLE_VERSION:
+        raise SnapshotSchemaError(
+            f"snapshot {path} is not a version-{HANDLE_VERSION} handle"
+        )
+    if handle.get("schema") != state_schema_hash():
+        raise SnapshotSchemaError(
+            f"snapshot {path} was written with state schema "
+            f"{handle.get('schema')!r}; this build is "
+            f"{state_schema_hash()!r}"
+        )
+    return handle
+
+
+def rehydrate_trial(spec, path: str):
+    """Replay ``spec`` to the final state its handle at ``path`` records.
+
+    Returns the replayed :class:`~repro.core.harness.TrialSetup`: the
+    trial is built and run by the cold path's own code, probe phase
+    included.  Raises :class:`SnapshotSchemaError` unless the handle
+    names this spec and the replay reaches its fingerprint.
+    """
+    from repro.core.harness import finish_victim_trial
+    from repro.runner.runner import begin_trial_spec, run_spec_probe_phase
+
+    handle = load_snapshot(path)
+    if handle.get("digest") != spec.digest():
+        raise SnapshotSchemaError(
+            f"snapshot {path} records spec {handle.get('digest')!r}, "
+            f"not {spec.digest()!r}"
+        )
+    setup = begin_trial_spec(spec)
+    finish_victim_trial(setup)
+    run_spec_probe_phase(spec, setup.machine)
+    if state_fingerprint(setup.machine) != handle.get("fingerprint"):
+        raise SnapshotSchemaError(
+            f"replaying {spec.label()} does not reach the state "
+            f"recorded in {path}"
+        )
     return setup

@@ -1,17 +1,23 @@
-"""State-schema versioning for the snapshot protocol.
+"""State-layout versioning for persisted artifacts.
 
-Every snapshot-capable component class declares two class attributes:
+The five memory components — :class:`CacheHierarchy`, :class:`Cache`,
+:class:`MSHRFile`, :class:`CoherenceDirectory` and :class:`MainMemory`
+— keep a ``capture()``/``restore()`` pair, which batch set-up, the
+lockstep mirror check and the batch tests read.  Each declares two
+class attributes:
 
 * ``SNAP_VERSION`` — an integer bumped whenever the *meaning* of its
   capture tuple changes without the field list changing;
 * ``SNAP_SCHEMA`` — the ordered tuple of field names its ``capture()``
-  emits (changing the capture layout changes this automatically).
+  emits.
 
-:func:`state_schema_hash` folds all of them into one digest.  Anything
-derived from simulator state that outlives a process — the
-content-addressed trial cache, saved snapshot handles — embeds this
-hash, so any change to what a snapshot contains invalidates stale
-artifacts instead of silently mixing layouts.
+:func:`state_schema_hash` folds all of them into one digest.  The
+content-addressed trial cache keys on it, and snapshot handles record
+it, so a change to the captured layout turns stale entries into misses
+and makes old handles refuse to load.  It is a *layout* hash, not a
+behaviour hash: a change to simulator logic that keeps every layout
+leaves it unchanged, so such a change needs a fresh trial-cache
+directory.
 """
 
 from __future__ import annotations
@@ -25,57 +31,28 @@ _CACHED_HASH: Optional[str] = None
 
 
 def _component_classes() -> List[type]:
-    """Every class participating in a machine snapshot, in a fixed
-    order.  Imported lazily so this module stays importable from pool
-    workers without dragging the whole simulator in at import time."""
+    """Every class with a captured state layout, in a fixed order.
+    Imported lazily so this module stays importable from pool workers
+    without dragging the whole simulator in at import time."""
     from repro.memory.cache import Cache
     from repro.memory.coherence import CoherenceDirectory
     from repro.memory.hierarchy import CacheHierarchy
     from repro.memory.main_memory import MainMemory
     from repro.memory.mshr import MSHRFile
-    from repro.pipeline.core import Core
-    from repro.pipeline.execution_unit import CommonDataBus, ExecutionUnit
-    from repro.pipeline.lsu import LoadStoreUnit
-    from repro.pipeline.reservation_station import ReservationStation
-    from repro.pipeline.rob import ROB
-    from repro.system.machine import Machine
 
-    return [
-        Machine,
-        Core,
-        ROB,
-        ReservationStation,
-        ExecutionUnit,
-        CommonDataBus,
-        LoadStoreUnit,
-        CacheHierarchy,
-        Cache,
-        MSHRFile,
-        CoherenceDirectory,
-        MainMemory,
-    ]
+    return [CacheHierarchy, Cache, MSHRFile, CoherenceDirectory, MainMemory]
 
 
 def schema_components() -> Tuple[Tuple[str, int, Tuple[str, ...]], ...]:
-    """(class name, SNAP_VERSION, SNAP_SCHEMA) for every component, plus
-    the DynInstr codec (a pair of functions, not a class)."""
-    from repro.pipeline.dyninstr import (
-        DYNINSTR_SNAP_SCHEMA,
-        DYNINSTR_SNAP_VERSION,
-    )
-
-    entries = [
+    """(class name, SNAP_VERSION, SNAP_SCHEMA) for every component."""
+    return tuple(
         (cls.__name__, cls.SNAP_VERSION, tuple(cls.SNAP_SCHEMA))
         for cls in _component_classes()
-    ]
-    entries.append(
-        ("DynInstr", DYNINSTR_SNAP_VERSION, tuple(DYNINSTR_SNAP_SCHEMA))
     )
-    return tuple(entries)
 
 
 def state_schema_hash() -> str:
-    """Hex digest identifying the snapshot state layout of this build."""
+    """Hex digest identifying the captured state layout of this build."""
     global _CACHED_HASH
     if _CACHED_HASH is None:
         payload = repr(schema_components()).encode()

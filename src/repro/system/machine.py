@@ -184,61 +184,6 @@ class Machine:
         for _ in range(n):
             self.step()
 
-    # ------------------------------------------------------------------
-    # snapshot
-    # ------------------------------------------------------------------
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = (
-        "cycle",
-        "schedule_counter",
-        "scheduled",
-        "cores(id,state)",
-        "hierarchy",
-        "tracer(events,cycle,core)",
-    )
-
-    def capture(self) -> Tuple:
-        """Capture the full machine state for an in-process restore.
-
-        The scheduled-action heap holds closures, so the capture is a
-        shallow copy of the heap list: valid for restore within the same
-        process, not for cross-process transport —
-        workers ship summaries, never machine state (lean transport).
-        Actions are pure reads of the hierarchy plus agent bookkeeping,
-        so re-running them after a restore is sound.
-        """
-        tracer_state = None
-        if self.tracer is not None:
-            tracer_state = (
-                list(self.tracer.events),
-                self.tracer.cycle,
-                self.tracer.core,
-            )
-        return (
-            self.cycle,
-            self._schedule_counter,
-            list(self._scheduled),
-            tuple((cid, core.capture()) for cid, core in self.cores.items()),
-            self.hierarchy.capture(),
-            tracer_state,
-        )
-
-    def restore(self, state: Tuple) -> None:
-        cycle, counter, scheduled, cores, hierarchy_state, tracer_state = state
-        self.cycle = cycle
-        self._schedule_counter = counter
-        self._scheduled = list(scheduled)
-        for cid, core_state in cores:
-            self.cores[cid].restore(core_state)
-        self.hierarchy.restore(hierarchy_state)
-        if tracer_state is not None and self.tracer is not None:
-            events, t_cycle, t_core = tracer_state
-            # Slice-assign: agents/metrics hold references to this exact
-            # list, so truncation must happen in place.
-            self.tracer.events[:] = events
-            self.tracer.cycle = t_cycle
-            self.tracer.core = t_core
-
     @property
     def all_halted(self) -> bool:
         return all(core.halted for core in self.cores.values())

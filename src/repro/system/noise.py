@@ -57,8 +57,8 @@ class NoiseInjector:
     def _tick(self, cycle: int) -> None:
         """Counter-based fire/pick: both draws are keyed by ``(seed,
         cycle)`` alone, so the injection schedule is a pure function of
-        the seed — replayable by restored snapshots and lockstep mirrors
-        without any shared generator state."""
+        the seed — replayable by a re-run of the trial and by lockstep
+        mirrors without any shared generator state."""
         if self.rate <= 0.0:
             return
         if draw_uniform(self.seed, DOMAIN_NOISE_FIRE, cycle, 0) >= self.rate:

@@ -201,12 +201,6 @@ class TestReservationStationOrder:
         with pytest.raises(ValueError):
             rs.remove_on_issue(dyn(1, ins.imm("r", 0)))  # same seq, other object
 
-    def test_restore_sorts(self):
-        rs = ReservationStation(8)
-        instrs = {seq: dyn(seq, ins.imm("r", 0)) for seq in (2, 3, 6)}
-        rs.restore(((6, 2, 3), 3, (), 3), instrs.__getitem__)
-        assert self.seqs(rs) == [2, 3, 6]
-
     def test_order_holds_every_cycle_through_preemption(self):
         """§5.4 preemption is the one out-of-order insert."""
         from repro.core.harness import begin_victim_trial

@@ -125,11 +125,10 @@ STEPS = st.one_of(
         st.integers(0, 1_000),
     ),
     st.tuples(st.just("pop_head")),
-    st.tuples(st.just("restore"), st.booleans()),
 )
 
 
-def _apply(rob: ROB, step, next_seq: int):
+def _apply(rob: ROB, step, next_seq: int) -> int:
     op = step[0]
     entries = list(rob)
     if op == "push":
@@ -140,12 +139,6 @@ def _apply(rob: ROB, step, next_seq: int):
     elif op == "pop_head":
         if entries:
             rob.pop_head()
-    elif op == "restore":
-        # fresh=True restores into a new ROB, else in place.
-        target = ROB(rob.size) if step[1] else rob
-        table = {e.seq: e for e in entries}
-        target.restore(rob.capture(), table.__getitem__)
-        rob = target
     elif entries:
         pick = step[1]
         if op == "complete":
@@ -163,7 +156,7 @@ def _apply(rob: ROB, step, next_seq: int):
         elif op == "squash":
             # Squash behind an entry, or just below it (a gap seq).
             rob.squash_younger_than(entries[pick % len(entries)].seq - pick % 2)
-    return rob, next_seq
+    return next_seq
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,7 +166,7 @@ def test_frontier_and_indices_follow_random_steps(steps):
     next_seq = 0
     assert_matches_reference(rob)
     for step in steps:
-        rob, next_seq = _apply(rob, step, next_seq)
+        next_seq = _apply(rob, step, next_seq)
         assert_matches_reference(rob)
 
 

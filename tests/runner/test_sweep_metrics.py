@@ -127,3 +127,15 @@ class TestMetricsDump:
         trials = list(iter_trial_metrics(path))
         assert len(trials) == len(result.summaries)
         assert all(r["kind"] == "trial" for r in trials)
+
+    def test_torn_final_line_reads_up_to_last_complete_line(self, tmp_path):
+        """An interrupted dump is parseable up to its last complete
+        line: a second trial line cut in the middle is skipped."""
+        path = tmp_path / "metrics.jsonl"
+        SerialSweepRunner().run(_specs(), metrics_path=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
+        records = read_sweep_metrics(path)
+        assert records == [json.loads(lines[0])]
+        assert len(list(iter_trial_metrics(path))) == 1
+        assert aggregate_from_file(path).counters

@@ -7,12 +7,7 @@ import pytest
 
 from repro.runner import SerialSweepRunner, TrialSpec, run_trial_outcome
 from repro.runner.runner import _check_lean_transport
-from repro.snapshot import (
-    SnapshotSchemaError,
-    load_snapshot,
-    rehydrate_trial,
-    save_snapshot,
-)
+from repro.snapshot import SnapshotSchemaError, load_snapshot, rehydrate_trial
 
 #: Per-outcome pickle budget.  A summary is a handful of ints, a short
 #: visible-access trace, and (optionally) aggregated metric dicts — if
@@ -94,17 +89,3 @@ def test_snapshot_schema_mismatch_refuses_restore(tmp_path, monkeypatch):
     with pytest.raises(SnapshotSchemaError):
         rehydrate_trial(spec, outcome.summary.snapshot_path)
 
-
-def test_save_snapshot_reports_dropped_actions(tmp_path):
-    """Mid-run snapshots drop pending scheduled closures and say so."""
-    from repro.core.harness import begin_victim_trial
-    from repro.core.victims import victim_by_name
-
-    setup = begin_victim_trial(victim_by_name("gdnpeu"), "unsafe", 1)
-    for _ in range(10):
-        setup.machine.step()
-    path = str(tmp_path / "mid.snap")
-    dropped = save_snapshot(setup.machine, path)
-    state, meta = load_snapshot(path)
-    assert meta["dropped_actions"] == dropped
-    assert state[2] == []  # the scheduled heap never travels

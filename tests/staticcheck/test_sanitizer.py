@@ -15,7 +15,7 @@ from repro.staticcheck import (
     compose_hooks,
 )
 
-SCHEMES = ["unsafe", "dom-nontso", "dom-tso", "invisispec-spectre"]
+SCHEMES = ["unsafe", "dom-nontso", "dom-tso", "invisispec-spectre", "stt", "muontrap"]
 
 
 class TestSanitizedRuns:
