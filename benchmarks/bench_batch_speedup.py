@@ -5,16 +5,15 @@ experiments actually run — the same victim probed with the attacker's
 "clock" read placed at many different cycles — and it is exactly the
 dimension relabeling cannot merge (a relabel group spans only inert
 seeds, so with ``fork=True`` every schedule still runs cold).  The
-batched SoA engine simulates the whole sweep as one leader run per
-secret with every schedule as a follower lane, so it must come in
->=2x faster than the ``fork=True`` path — with bit-identical outcomes
+batched engine simulates the whole sweep as one leader run per secret
+with every schedule as a cache-hierarchy lane, so it must come in >=2x
+faster than the ``fork=True`` path — with bit-identical outcomes
 (asserted; tests/batch proves the same per scheme).
 
 Two cases are measured: the stream-inert sweep, and the same sweep on a
-DRAM-jittered hierarchy — the shape the widened core un-bypassed (the
-mirror replays each lane's jitter from the per-lane counter stream).
-The ``BENCH_batch_speedup.json`` artifact carries both speedups so CI
-can gate on the >=2x floor without parsing prose.
+DRAM-jittered hierarchy (each lane hierarchy draws its own jitter from
+its counter stream).  The ``BENCH_batch_speedup.json`` artifact carries
+both speedups so CI can gate on the >=2x floor without parsing prose.
 """
 
 import pytest
@@ -83,7 +82,6 @@ def _case_json(trials, cold_t, fork_t, batch_t):
 
 @pytest.mark.benchmark(group="batch")
 def test_bench_batch_speedup(benchmark, tmp_path):
-    pytest.importorskip("numpy")
     plain = _specs()
     jittered = _specs(hierarchy_config=JITTERED)
 
@@ -97,7 +95,7 @@ def test_bench_batch_speedup(benchmark, tmp_path):
         "batch_speedup",
         "\n".join(
             [
-                "Batched lockstep (SoA) sweep speedup "
+                "Batched lockstep sweep speedup "
                 "(gdnpeu x dom-nontso x 2 secrets "
                 f"x {len(REF_CYCLES)} reference-read cycles; outcomes "
                 "asserted bit-identical across all three paths):",
@@ -110,12 +108,12 @@ def test_bench_batch_speedup(benchmark, tmp_path):
                 "",
                 "Relabeling (fork=True) merges only inert-seed variants, "
                 "so every distinct reference schedule still runs cold; "
-                "batch runs one leader per secret and mirrors all "
-                f"{len(REF_CYCLES)} schedules as SoA lanes in lockstep, "
-                "ejecting any lane whose memory system diverges to the "
-                "scalar cold path.  The jittered case replays each "
-                "lane's DRAM jitter from the per-lane counter stream "
-                "instead of bypassing the mirror.",
+                "batch runs one leader per secret and replays its "
+                f"memory calls on all {len(REF_CYCLES)} schedules as "
+                "cache-hierarchy lanes in lockstep, ejecting any lane "
+                "whose memory system diverges to the scalar cold path.  "
+                "In the jittered case each lane hierarchy draws its own "
+                "DRAM jitter from its counter stream.",
             ]
         ),
         data={

@@ -4,17 +4,18 @@ A batch group is a set of :class:`~repro.runner.spec.TrialSpec`s that
 differ only in ``secret``, ``seed``, and ``reference_accesses`` — the
 attacker's fixed-cycle "clock" reads of §3.3.  Reference-access sweeps
 are exactly the dimension relabeling cannot merge (a relabel group
-spans only inert seeds), and exactly what the batched SoA engine
-simulates as follower lanes.
+spans only inert seeds), and exactly what the lockstep engine
+simulates as lanes.
 
 Since the counter-based RNG streams landed (:mod:`repro.memory.stream`),
 DRAM jitter, noise injection, and metrics collection all batch: jitter
-draws are keyed ``(seed, cycle, core, seq)`` so the mirror replays them
-per lane, the noise schedule is a pure function of ``(seed, cycle)``,
-and metrics are projected per lane from the SoA counters.  What still
-cannot batch: sanitizer hooks (per-cycle machine instrumentation the
-mirror cannot replay), snapshot collection (needs the variant's own
-Machine), and — checked by the runner — active fault plans.
+draws are keyed ``(seed, cycle, core, seq)`` so each lane hierarchy
+draws its own, the noise schedule is a pure function of
+``(seed, cycle)``, and a lane's metrics read its own cache and DRAM
+counters.  What still cannot batch: sanitizer hooks (per-cycle machine
+instrumentation the mirror cannot replay), snapshot collection (needs
+the variant's own Machine), and — checked by the runner — active fault
+plans.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.batch._numpy import HAVE_NUMPY
 from repro.runner.spec import TrialSpec, stream_dependent
 
 #: Minimum lanes (distinct reference schedules) worth a mirror: with
@@ -31,7 +31,6 @@ from repro.runner.spec import TrialSpec, stream_dependent
 MIN_LANES = 2
 
 #: Bypass-reason keys surfaced as ``sweep.batch.bypass.*`` counters.
-BYPASS_NO_NUMPY = "no_numpy"
 BYPASS_SANITIZE = "sanitize"
 BYPASS_SNAPSHOT = "snapshot"
 BYPASS_MIN_LANES = "min_lanes"
@@ -40,8 +39,6 @@ BYPASS_FAULTS = "faults"
 
 def batch_bypass_reason(spec: TrialSpec) -> Optional[str]:
     """Why this spec cannot batch, or None when it is eligible."""
-    if not HAVE_NUMPY:
-        return BYPASS_NO_NUMPY
     if spec.sanitize:
         return BYPASS_SANITIZE
     if spec.snapshot_dir is not None:

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.victims import ATTACK_HIERARCHY, VictimSpec
-from repro.memory.hierarchy import AccessKind, HierarchyConfig, VisibleAccess
+from repro.memory.hierarchy import (
+    AccessKind,
+    CacheHierarchy,
+    HierarchyConfig,
+    VisibleAccess,
+)
 from repro.pipeline.branch import TwoBitPredictor
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
@@ -242,6 +247,24 @@ def begin_victim_trial(
     )
 
 
+def first_access_cycles(
+    spec: VictimSpec,
+    reference_accesses: Sequence[Tuple[int, int]],
+    extra_lines: Sequence[int],
+    window: Sequence[VisibleAccess],
+) -> Dict[int, Optional[int]]:
+    """Cycle of each monitored line's first access in the victim
+    window (None if it has none): the victim's monitored lines, then
+    the reference-access lines, then ``extra_lines``."""
+    monitored = list(spec.monitored_lines()) + [
+        addr & ~(LINE - 1) for addr, _ in reference_accesses
+    ] + [line & ~(LINE - 1) for line in extra_lines]
+    return {
+        line: next((e.cycle for e in window if e.line == line), None)
+        for line in monitored
+    }
+
+
 def finish_victim_trial(setup: TrialSetup) -> TrialResult:
     """Run a prepared trial to completion and observe it."""
     machine, core = setup.machine, setup.core
@@ -254,20 +277,13 @@ def finish_victim_trial(setup: TrialSetup) -> TrialResult:
         fast_forward=True,
     )
     window = machine.hierarchy.log_since(setup.log_start)
-
-    monitored = list(setup.spec.monitored_lines()) + [
-        addr & ~(LINE - 1) for addr, _ in setup.reference_accesses
-    ] + [line & ~(LINE - 1) for line in setup.extra_lines]
-    access_cycle: Dict[int, Optional[int]] = {}
-    for line in monitored:
-        access_cycle[line] = next(
-            (e.cycle for e in window if e.line == line), None
-        )
     return TrialResult(
         secret=setup.secret,
         scheme=setup.scheme_obj.name,
         cycles=machine.cycle,
-        access_cycle=access_cycle,
+        access_cycle=first_access_cycles(
+            setup.spec, setup.reference_accesses, setup.extra_lines, window
+        ),
         visible=window,
         machine=machine,
         core=core,
@@ -276,7 +292,8 @@ def finish_victim_trial(setup: TrialSetup) -> TrialResult:
 
 
 def run_probe_phase(
-    machine: Machine,
+    hierarchy: CacheHierarchy,
+    cycle: int,
     probe_accesses: Sequence[int],
     *,
     core: int = ATTACKER_CORE,
@@ -285,18 +302,17 @@ def run_probe_phase(
 
     For each probe address in order: evict the attacker's *own* private
     copies (L1D/L1I/L2, exactly :meth:`AttackerAgent.evict_own_copy`),
-    then issue one timed visible read from the attacker core at the
-    machine's final cycle.  The returned latencies decode LLC residency
-    against ``hierarchy.miss_threshold()`` — the Flush+Reload style
-    receiver measurement of §4.1, made a first-class trial phase so the
-    batched engine can vectorize it per lane.
+    then issue one timed visible read from the attacker core at
+    ``cycle`` (the machine's final cycle).  The returned latencies
+    decode LLC residency against ``hierarchy.miss_threshold()`` — the
+    Flush+Reload style receiver measurement of §4.1, made a first-class
+    trial phase so the batched engine can run it on each lane's
+    hierarchy.
 
-    Mutates machine state (probe fills are real fills); callers collect
+    Mutates hierarchy state (probe fills are real fills); callers collect
     metrics/snapshot handles *after* the probe so every execution path agrees
     on what the final state includes.
     """
-    hierarchy = machine.hierarchy
-    cycle = machine.cycle
     tracer = hierarchy.tracer
     latencies = []
     for addr in probe_accesses:

@@ -72,10 +72,16 @@ class _CacheSet:
 
 
 class Cache:
-    """A single cache level (state only; no latency)."""
+    """A single cache level (state only; no latency).
 
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = ("sets(lines,policy_state)", "stats(5)")
+    Sets are built lazily: ``_sets[i]`` stays None until a fill (or a
+    :meth:`restore`) builds it, so a cache costs only the sets a trial
+    touches.  A lookup on an absent set answers as an empty set and
+    builds nothing, so two caches that saw the same fills capture equal.
+    """
+
+    SNAP_VERSION = 2
+    SNAP_SCHEMA = ("sets(index,lines,policy_state)", "stats(5)")
 
     def __init__(
         self,
@@ -101,11 +107,9 @@ class Cache:
         self.layout = AddressLayout(
             line_size=line_size, num_sets=num_sets, num_slices=num_slices
         )
-        total_sets = num_sets * num_slices
-        self._sets = [
-            _CacheSet(num_ways, make_policy(policy, num_ways, rng=rng))
-            for _ in range(total_sets)
-        ]
+        self._rng = rng
+        self._new_policy()  # a bad policy or way count fails here, not on a fill
+        self._sets: List[Optional[_CacheSet]] = [None] * (num_sets * num_slices)
         # Hot-path bindings: access()/fill()/contains() run once per
         # simulated memory reference, so resolve the layout arithmetic
         # (line mask, memoized global-set lookup) once here instead of
@@ -126,15 +130,20 @@ class Cache:
         self.observer = None
 
     # ------------------------------------------------------------------
-    def _set_for(self, addr: int) -> _CacheSet:
+    def _set_for(self, addr: int) -> Optional[_CacheSet]:
         return self._sets[self._global_set(addr)]
+
+    def _new_policy(self) -> SetPolicy:
+        return make_policy(self.policy_name, self.num_ways, rng=self._rng)
+
+    def _build_set(self, index: int) -> _CacheSet:
+        cset = self._sets[index] = _CacheSet(self.num_ways, self._new_policy())
+        return cset
 
     def contains(self, addr: int) -> bool:
         """Pure lookup: no state change, no stats."""
-        present = (
-            self._sets[self._global_set(addr)].way_of(addr & self._line_mask)
-            is not None
-        )
+        cset = self._sets[self._global_set(addr)]
+        present = cset is not None and cset.way_of(addr & self._line_mask) is not None
         observer = self.observer
         if observer is not None:
             observer.on_contains(self, addr, present)
@@ -144,26 +153,24 @@ class Cache:
         """Lookup; returns hit.  ``update=False`` leaves metadata untouched."""
         line = addr & self._line_mask
         cset = self._sets[self._global_set(addr)]
-        way = cset.way_of(line)
         tracer = self.tracer
-        if way is None:
-            self.stats.misses += 1
-            if tracer is not None:
-                tracer.emit(
-                    EventKind.CACHE_MISS,
-                    cache=self.name,
-                    line=line,
-                    update=update,
-                )
-            return False
-        self.stats.hits += 1
-        if update:
-            cset.policy.on_hit(way)
+        if cset is not None:
+            way = cset.way_of(line)
+            if way is not None:
+                self.stats.hits += 1
+                if update:
+                    cset.policy.on_hit(way)
+                if tracer is not None:
+                    tracer.emit(
+                        EventKind.CACHE_HIT, cache=self.name, line=line, update=update
+                    )
+                return True
+        self.stats.misses += 1
         if tracer is not None:
             tracer.emit(
-                EventKind.CACHE_HIT, cache=self.name, line=line, update=update
+                EventKind.CACHE_MISS, cache=self.name, line=line, update=update
             )
-        return True
+        return False
 
     def fill(self, addr: int, *, update: bool = True) -> Optional[int]:
         """Install a line; returns the evicted line address, if any.
@@ -172,7 +179,10 @@ class Cache:
         metadata touch (policies see a hit).
         """
         line = addr & self._line_mask
-        cset = self._sets[self._global_set(addr)]
+        index = self._global_set(addr)
+        cset = self._sets[index]
+        if cset is None:
+            cset = self._build_set(index)
         way = cset.way_of(line)
         if way is not None:
             if update:
@@ -205,8 +215,8 @@ class Cache:
         the line is still resident.  Returns whether it was."""
         line = self.layout.line_addr(addr)
         cset = self._set_for(addr)
-        way = cset.way_of(line)
-        if way is None:
+        way = None if cset is None else cset.way_of(line)
+        if cset is None or way is None:
             return False
         cset.policy.on_hit(way)
         return True
@@ -215,8 +225,8 @@ class Cache:
         """Drop a line (clflush / inclusivity back-invalidation)."""
         line = self.layout.line_addr(addr)
         cset = self._set_for(addr)
-        way = cset.way_of(line)
-        if way is None:
+        way = None if cset is None else cset.way_of(line)
+        if cset is None or way is None:
             return False
         cset.lines[way] = None
         cset.policy.on_invalidate(way)
@@ -230,8 +240,11 @@ class Cache:
             )
         return True
 
+    def _built_sets(self) -> List[Tuple[int, _CacheSet]]:
+        return [(i, cset) for i, cset in enumerate(self._sets) if cset is not None]
+
     def flush_all(self) -> None:
-        for index, cset in enumerate(self._sets):
+        for _, cset in self._built_sets():
             for way, line in enumerate(cset.lines):
                 if line is not None:
                     cset.lines[way] = None
@@ -240,29 +253,37 @@ class Cache:
     # -- introspection ---------------------------------------------------
     def set_contents(self, addr: int) -> List[Optional[int]]:
         """Lines of the set that ``addr`` maps to, leftmost way first."""
-        return list(self._set_for(addr).lines)
+        cset = self._set_for(addr)
+        return [None] * self.num_ways if cset is None else list(cset.lines)
 
     def set_policy_state(self, addr: int) -> List[int]:
         """Replacement metadata of the set ``addr`` maps to."""
-        return self._set_for(addr).policy.state_summary()
+        cset = self._set_for(addr)
+        policy = self._new_policy() if cset is None else cset.policy
+        return policy.state_summary()
 
     def resident_lines(self) -> List[int]:
         return [
-            line for cset in self._sets for line in cset.lines if line is not None
+            line
+            for _, cset in self._built_sets()
+            for line in cset.lines
+            if line is not None
         ]
 
     # -- snapshot -------------------------------------------------------
     def capture(self) -> Tuple:
-        """Flat state tuple: per-set (lines, policy state) plus stats.
+        """Flat state tuple: ``(index, lines, policy state)`` per built
+        set, plus stats.
 
         Geometry and the policy objects themselves are construction-time
         configuration; only line contents, replacement metadata, and the
-        counters are mutable.
+        counters are mutable.  Absent sets are fresh, so they are left
+        out.
         """
         return (
             tuple(
-                (tuple(cset.lines), cset.policy.snapshot_state())
-                for cset in self._sets
+                (index, tuple(cset.lines), cset.policy.snapshot_state())
+                for index, cset in self._built_sets()
             ),
             (
                 self.stats.hits,
@@ -274,8 +295,11 @@ class Cache:
         )
 
     def restore(self, state: Tuple) -> None:
+        """Clear every set, then build the captured ones."""
         sets_state, stats = state
-        for cset, (lines, policy_state) in zip(self._sets, sets_state, strict=False):
+        self._sets = [None] * len(self._sets)
+        for index, lines, policy_state in sets_state:
+            cset = self._build_set(index)
             cset.lines[:] = lines
             cset.policy.restore_state(policy_state)
         (

@@ -2,9 +2,9 @@
 
 Draws are pure functions of ``(seed, domain, cycle, seq)`` through a
 splitmix64-style finalizer, so any consumer — the scalar simulator, a
-restored snapshot, or the batched lockstep mirror replaying one lane's
-DRAM traffic vectorized over numpy — reconstructs the exact same value
-from the key alone.  No mutable generator state is shared between draw
+replayed snapshot handle, or a batch lane hierarchy replaying the
+leader's DRAM traffic — reconstructs the exact same value from the key
+alone.  No mutable generator state is shared between draw
 sites; the only state a consumer tracks is the ``seq`` disambiguator
 for repeated draws at the same ``(cycle, core)``.
 
@@ -28,7 +28,6 @@ DOMAIN_NOISE_FIRE = 0x100
 DOMAIN_NOISE_INDEX = 0x101
 
 # Odd multipliers (bijective mod 2**64) keying each field into the mix.
-# Public: the vectorized twin in repro.batch.ops reuses them verbatim.
 DOMAIN_MULT = 0xD1342543DE82EF95
 CYCLE_MULT = 0x9E3779B97F4A7C15
 SEQ_MULT = 0xDA942042E4DD58B5
@@ -71,8 +70,8 @@ class CounterStream:
 
     Repeated draws at the same key get ``seq = 0, 1, 2, ...``; a draw at
     a new key resets ``seq`` to zero.  The whole state is four ints, so
-    snapshots carry it verbatim and the SoA mirror keeps the same four
-    fields as per-lane arrays.
+    a capture carries it verbatim and a restored batch lane draws on
+    from exactly where the leader's stream stood.
     """
 
     __slots__ = ("seed", "last_cycle", "last_core", "seq")

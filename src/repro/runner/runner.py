@@ -99,14 +99,16 @@ def backoff_delay(round_no: int, *, rng: Optional[random.Random] = None) -> floa
 _PLAN_UNSET = object()
 
 
-def begin_trial_spec(spec: TrialSpec, *, fault_injector=None):
+def begin_trial_spec(spec: TrialSpec, *, tracer=None, fault_injector=None):
     """Prepare one trial from its picklable description, exactly as the
     cold path runs it; returns the :class:`~repro.core.harness.TrialSetup`
     (its ``spec`` is the victim built from the registry).
 
     Builds the victim from the registry and the Machine/Core inside the
     calling process, so it works identically in the parent, in pool
-    workers and when a snapshot handle is replayed.
+    workers, for a batch leader and when a snapshot handle is replayed.
+    ``tracer`` overrides the default: none, or a stage-filtered one when
+    the spec collects metrics.
     """
     # Imported here, not at module top: pool workers (re-)import this
     # module before running anything, and the light import keeps worker
@@ -115,8 +117,7 @@ def begin_trial_spec(spec: TrialSpec, *, fault_injector=None):
     from repro.core.victims import victim_by_name
 
     victim = victim_by_name(spec.victim, **dict(spec.victim_kwargs))
-    tracer = None
-    if spec.collect_metrics:
+    if tracer is None and spec.collect_metrics:
         # Stage-filtered tracer: enough for the per-stage latency
         # histograms, compact enough to carry through long sweeps.
         # Tracing is observer-invariant (the differential invisibility
@@ -163,7 +164,7 @@ def run_spec_probe_phase(spec: TrialSpec, machine) -> Optional[Tuple[int, ...]]:
         return None
     from repro.core.harness import run_probe_phase
 
-    return run_probe_phase(machine, spec.probe_accesses)
+    return run_probe_phase(machine.hierarchy, machine.cycle, spec.probe_accesses)
 
 
 def summarize_trial(
@@ -408,8 +409,8 @@ class SweepRunner:
     #: summary relabeled with its own seed.
     fork: bool = False
     #: Batched lockstep execution (:mod:`repro.batch`): trials differing
-    #: only in secret/seed/reference schedule step as SoA lanes of one
-    #: leader run per secret.  Requires numpy; silently inert without it.
+    #: only in secret/seed/reference schedule step as cache-hierarchy
+    #: lanes of one leader run per secret.
     batch: bool = False
     #: Content-addressed trial cache directory
     #: (:class:`repro.runner.cache.TrialCache`); None disables caching.
@@ -459,10 +460,10 @@ class SweepRunner:
            snapshot state-schema hash) is already in ``cache_dir``
            return their memoized outcome without simulating;
         2. **journal merge** — checkpointed outcomes are reused;
-        3. **batch groups** — with ``batch=True`` (numpy present),
-           remaining specs that differ only in secret/seed/reference
-           schedule step as lockstep SoA lanes of one leader run per
-           secret (:mod:`repro.batch`);
+        3. **batch groups** — with ``batch=True``, remaining specs that
+           differ only in secret/seed/reference schedule step as
+           lockstep cache-hierarchy lanes of one leader run per secret
+           (:mod:`repro.batch`);
         4. **relabel groups** — with ``fork=True``, remaining specs that
            differ only in an inert seed run once and are relabeled
            (:mod:`repro.snapshot.fork`);
@@ -975,7 +976,7 @@ def make_runner(
     ``max_retries`` / ``trial_timeout`` configure the fault-tolerant
     ``run`` path (see :class:`ParallelSweepRunner`); ``fork``, ``batch``
     and ``cache_dir`` enable relabel groups (inert-seed variants run
-    once), batched lockstep execution (needs numpy) and the
+    once), batched lockstep execution and the
     content-addressed trial cache (see :meth:`SweepRunner.run_outcomes`)."""
     resolved = workers if workers is not None else default_workers()
     if resolved <= 1:

@@ -242,8 +242,8 @@ class SweepResult:
     #: Batched-lockstep accounting for this sweep, when it ran with
     #: ``batch=True``: ``batched`` / ``ejected`` lane counts plus one
     #: ``bypass.<reason>`` entry per spec the planner refused
-    #: (``no_numpy`` / ``sanitize`` / ``snapshot`` / ``min_lanes`` /
-    #: ``faults``).  None when batching was off.
+    #: (``sanitize`` / ``snapshot`` / ``min_lanes`` / ``faults``).
+    #: None when batching was off.
     batch_stats: Optional[Dict[str, int]] = None
 
     def __len__(self) -> int:

@@ -2,9 +2,10 @@
 
 The five memory components — :class:`CacheHierarchy`, :class:`Cache`,
 :class:`MSHRFile`, :class:`CoherenceDirectory` and :class:`MainMemory`
-— keep a ``capture()``/``restore()`` pair, which batch set-up, the
-lockstep mirror check and the batch tests read.  Each declares two
-class attributes:
+— keep a ``capture()``/``restore()`` pair: every batch lane is a fresh
+hierarchy restored from its leader's capture, lane 0's final capture
+must equal the leader's, and snapshot handles fingerprint it.  Each
+declares two class attributes:
 
 * ``SNAP_VERSION`` — an integer bumped whenever the *meaning* of its
   capture tuple changes without the field list changing;

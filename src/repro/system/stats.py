@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.core import Core
 from repro.system.machine import Machine
 from repro.trace.events import EventKind, TraceEvent
@@ -255,28 +256,20 @@ def _stage_histograms(
                 reg.observe(f"{prefix}.{name}", stages[dst] - stages[src])
 
 
-#: One cache level's counters for :func:`compose_metrics`:
-#: ``(name, hits, misses, fills, evictions, invalidations)``.
-CacheRow = tuple
-
-
 def compose_metrics(
     *,
     cycles: int,
     cores: Iterable[Core],
-    cache_rows: Iterable[CacheRow],
-    dram_reads: int,
-    dram_writes: int,
-    visible_accesses: int,
+    hierarchy: CacheHierarchy,
     events: Optional[Iterable[TraceEvent]] = None,
 ) -> MetricsRegistry:
     """Assemble a trial metrics registry from its parts.
 
     The registry's insertion order is part of its serialized identity
     (``to_json`` preserves it), so every producer — the cold path via
-    :func:`machine_metrics`, and the batched lockstep engine projecting
-    a follower lane from SoA counters — must build it through this one
-    skeleton: machine gauge, per-core counters, cache rows in
+    :func:`machine_metrics`, and the batched lockstep engine pairing the
+    leader's cores with a lane's own hierarchy — must build it through
+    this one skeleton: machine gauge, per-core counters, cache rows in
     ``all_caches()`` order, DRAM traffic, visible LLC accesses, then the
     optional stage histograms.
     """
@@ -284,16 +277,17 @@ def compose_metrics(
     reg.set_gauge("machine.cycles", cycles)
     for core in cores:
         _core_metrics(reg, core)
-    for name, hits, misses, fills, evictions, invalidations in cache_rows:
-        cp = f"cache.{name}"
-        reg.inc(f"{cp}.hits", hits)
-        reg.inc(f"{cp}.misses", misses)
-        reg.inc(f"{cp}.fills", fills)
-        reg.inc(f"{cp}.evictions", evictions)
-        reg.inc(f"{cp}.invalidations", invalidations)
-    reg.inc("dram.reads", dram_reads)
-    reg.inc("dram.writes", dram_writes)
-    reg.inc("llc.visible_accesses", visible_accesses)
+    for cache in hierarchy.all_caches():
+        cp = f"cache.{cache.name}"
+        stats = cache.stats
+        reg.inc(f"{cp}.hits", stats.hits)
+        reg.inc(f"{cp}.misses", stats.misses)
+        reg.inc(f"{cp}.fills", stats.fills)
+        reg.inc(f"{cp}.evictions", stats.evictions)
+        reg.inc(f"{cp}.invalidations", stats.invalidations)
+    reg.inc("dram.reads", hierarchy.memory.reads)
+    reg.inc("dram.writes", hierarchy.memory.writes)
+    reg.inc("llc.visible_accesses", len(hierarchy.visible_log))
     if events is not None:
         _stage_histograms(reg, events)
     return reg
@@ -311,23 +305,9 @@ def machine_metrics(
     supplied.  Registries merge across trials: see
     :meth:`repro.trace.MetricsRegistry.merge`.
     """
-    hierarchy = machine.hierarchy
     return compose_metrics(
         cycles=machine.cycle,
         cores=[core for _, core in sorted(machine.cores.items())],
-        cache_rows=[
-            (
-                cache.name,
-                cache.stats.hits,
-                cache.stats.misses,
-                cache.stats.fills,
-                cache.stats.evictions,
-                cache.stats.invalidations,
-            )
-            for cache in hierarchy.all_caches()
-        ],
-        dram_reads=hierarchy.memory.reads,
-        dram_writes=hierarchy.memory.writes,
-        visible_accesses=len(hierarchy.visible_log),
+        hierarchy=machine.hierarchy,
         events=events,
     )

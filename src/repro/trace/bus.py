@@ -36,6 +36,7 @@ from typing import (
 from repro.trace.events import EventKind, Scalar, TraceEvent, coerce_kinds
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.memory.hierarchy import CacheHierarchy
     from repro.pipeline.core import Core
     from repro.system.machine import Machine
 
@@ -147,6 +148,17 @@ def install_tracer_on_core(tracer: Optional[Tracer], core: "Core") -> None:
         eu.tracer = tracer
 
 
+def install_tracer_on_hierarchy(
+    tracer: Optional[Tracer], hierarchy: "CacheHierarchy"
+) -> None:
+    """Attach ``tracer`` to a cache hierarchy, its caches and MSHRs."""
+    hierarchy.tracer = tracer
+    for cache in hierarchy.all_caches():
+        cache.tracer = tracer
+    for mshrs in hierarchy.l1d_mshrs:
+        mshrs.tracer = tracer
+
+
 def install_tracer(
     tracer: Optional[Tracer],
     *,
@@ -159,19 +171,10 @@ def install_tracer(
     """
     if machine is not None:
         machine.tracer = tracer
-        hierarchy = machine.hierarchy
-        hierarchy.tracer = tracer
-        for cache in hierarchy.all_caches():
-            cache.tracer = tracer
-        for mshrs in hierarchy.l1d_mshrs:
-            mshrs.tracer = tracer
+        install_tracer_on_hierarchy(tracer, machine.hierarchy)
         for c in machine.cores.values():
             install_tracer_on_core(tracer, c)
     if core is not None:
         install_tracer_on_core(tracer, core)
-        for mshr_file in core.hierarchy.l1d_mshrs:
-            mshr_file.tracer = tracer
-        core.hierarchy.tracer = tracer
-        for cache in core.hierarchy.all_caches():
-            cache.tracer = tracer
+        install_tracer_on_hierarchy(tracer, core.hierarchy)
     return tracer

@@ -11,8 +11,6 @@ dimension, which is exactly what fork cannot merge).
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.batch.engine import run_batch_group_detailed
 from repro.core.harness import run_victim_trial
 from repro.core.victims import ADDR_REF, victim_by_name

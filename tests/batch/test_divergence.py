@@ -10,8 +10,6 @@ still return outcomes bit-identical to cold execution for every spec.
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.batch.engine import run_batch_group_detailed
 from repro.core.harness import LINE
 from repro.core.victims import ADDR_REF, victim_by_name

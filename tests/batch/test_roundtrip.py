@@ -1,26 +1,22 @@
-"""BatchState round-trip properties.
+"""Lane hierarchies restore exactly.
 
-The Snapshot protocol's flat ``capture()`` tuples are the SoA layout
-spec: ``BatchState.from_snapshot(hierarchy, snap, n)`` followed by
-``.to_snapshot(lane)`` must be the identity on every component schema
-(caches under all six replacement policies, main memory, MSHRs,
-coherence directory on and off, sliced LLCs), from any mid-run state.
+A batch lane is a fresh ``CacheHierarchy`` restored from the leader's
+``capture()``.  Restore followed by capture must be the identity on
+every component schema (caches under all six replacement policies,
+main memory, MSHRs, coherence directory on and off, sliced LLCs), from
+any mid-run state, and lanes restored from one capture must share no
+mutable state.
 """
 
-import pytest
+from collections import deque
+from enum import Enum
 
-pytest.importorskip("numpy")
-
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchSchemaError, BatchState
-from repro.batch.state import POLICY_FIELDS
-from repro.batch.ops import cache_access, cache_fill
 from repro.core.harness import begin_victim_trial
 from repro.core.victims import victim_by_name
-from repro.memory.hierarchy import HierarchyConfig, LevelConfig
+from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig, LevelConfig
 from repro.memory.replacement import POLICY_NAMES
 from repro.schemes.registry import SCHEME_FACTORIES
 
@@ -40,6 +36,13 @@ def _mid_run_hierarchy(scheme, cycles, secret=1, config=None):
     return machine.hierarchy
 
 
+def _lane(hierarchy, snap):
+    """A lane exactly as the batch engine builds one."""
+    lane = CacheHierarchy(hierarchy.num_cores, hierarchy.config)
+    lane.restore(snap)
+    return lane
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     scheme=st.sampled_from(ALL_SCHEMES),
@@ -48,13 +51,12 @@ def _mid_run_hierarchy(scheme, cycles, secret=1, config=None):
     secret=st.sampled_from((0, 1)),
 )
 def test_from_snapshots_to_snapshot_identity(scheme, cycles, lanes, secret):
-    """Property: every lane of a freshly loaded BatchState re-captures
-    the exact snapshot tuple it was loaded from."""
+    """Property: every lane restored from a mid-run capture re-captures
+    the exact tuple it was restored from."""
     hierarchy = _mid_run_hierarchy(scheme, cycles, secret=secret)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshot(hierarchy, snap, lanes)
-    for lane in range(lanes):
-        assert state.to_snapshot(lane) == snap
+    for _ in range(lanes):
+        assert _lane(hierarchy, snap).capture() == snap
 
 
 @settings(max_examples=12, deadline=None)
@@ -80,74 +82,58 @@ def test_identity_across_policies_and_coherence(
     )
     hierarchy = _mid_run_hierarchy("unsafe", cycles, config=config)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshot(hierarchy, snap, 2)
-    assert state.to_snapshot(0) == snap
-    assert state.to_snapshot(1) == snap
+    assert _lane(hierarchy, snap).capture() == snap
+    assert _lane(hierarchy, snap).capture() == snap
 
 
 def test_lanes_are_independent():
-    """Mutating one lane's arrays must leave its sibling untouched —
-    the soundness of divergence-ejection rests on this isolation."""
+    """Filling one lane must leave its sibling untouched — the
+    soundness of divergence-ejection rests on this isolation."""
     hierarchy = _mid_run_hierarchy("dom-nontso", 150)
     snap = hierarchy.capture()
-    state = BatchState.from_snapshot(hierarchy, snap, 2)
-    llc = state.caches[-1]  # all_caches() order: the LLC is last
-    lane0 = np.array([0], dtype=np.int64)
+    lane0, lane1 = _lane(hierarchy, snap), _lane(hierarchy, snap)
     line = 0x7F00_0000  # definitely absent: forces a miss then a fill
-    assert not cache_access(llc, lane0, line, True, None).any()
-    cache_fill(llc, lane0, line, True, None)
-    assert state.to_snapshot(1) == snap
-    assert state.to_snapshot(0) != snap
+    assert not lane0.llc.access(line)
+    lane0.llc.fill(line)
+    assert lane1.capture() == snap
+    assert lane0.capture() != snap
+
+
+def _mutable_containers(root):
+    """ids of every list, dict, set and deque reachable from ``root``
+    through repro objects and containers."""
+    found = set()
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, Enum):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, dict, set, deque)):
+            found.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(vars(obj).values() if hasattr(obj, "__dict__") else ())
+            for slot in getattr(type(obj), "__slots__", ()):
+                if hasattr(obj, slot):
+                    stack.append(getattr(obj, slot))
+    return found
 
 
 def test_every_lane_owns_its_rows():
-    """One capture is copied into every lane: no array may be a
-    broadcast view whose lanes share memory."""
+    """Two hierarchies restored from one capture share no list, dict or
+    log: every mutable container is a lane's own."""
     hierarchy = _mid_run_hierarchy("unsafe", 120)
-    state = BatchState.from_snapshot(hierarchy, hierarchy.capture(), 3)
-    for cache in state.caches:
-        arrays = [cache.lines, cache.stats] + [
-            getattr(cache, attr) for _, attr in POLICY_FIELDS[cache.policy]
-        ]
-        for array in arrays:
-            assert array.flags.owndata and 0 not in array.strides
-            assert not np.shares_memory(array[0], array[1])
-    assert state.mem_data[0] is not state.mem_data[1]
-    assert state.visible_log[0] is not state.visible_log[1]
-    assert state.policy_rng[0] is not state.policy_rng[1]
-
-
-def _with_first_cache(snap, sets_state):
-    caches, *rest = snap
-    _, stats = caches[0]
-    return ((sets_state, stats),) + tuple(caches[1:]), *rest
-
-
-def test_set_count_mismatch_raises():
-    hierarchy = _mid_run_hierarchy("unsafe", 50)
     snap = hierarchy.capture()
-    sets_state = snap[0][0][0]
-    bad = _with_first_cache(snap, sets_state[:-1])
-    with pytest.raises(BatchSchemaError, match="sets, geometry says"):
-        BatchState.from_snapshot(hierarchy, bad, 2)
-
-
-def test_policy_field_mismatch_raises():
-    hierarchy = _mid_run_hierarchy("unsafe", 50)
-    snap = hierarchy.capture()
-    sets_state = list(snap[0][0][0])
-    lines, policy_state = sets_state[-1]
-    sets_state[-1] = (lines, policy_state + (("_extra", 0),))
-    bad = _with_first_cache(snap, tuple(sets_state))
-    with pytest.raises(BatchSchemaError, match="policy snapshot fields"):
-        BatchState.from_snapshot(hierarchy, bad, 2)
-
-
-def test_restore_into_round_trips():
-    """restore_into() writes a lane's state back into a live hierarchy
-    so that a scalar re-capture reproduces the lane snapshot."""
-    hierarchy = _mid_run_hierarchy("muontrap", 120)
-    snap = hierarchy.capture()
-    state = BatchState.from_snapshot(hierarchy, snap, 1)
-    state.restore_into(hierarchy, 0)
-    assert hierarchy.capture() == snap
+    a, b = _lane(hierarchy, snap), _lane(hierarchy, snap)
+    assert a.visible_log is not b.visible_log
+    assert a.memory._data is not b.memory._data
+    assert a.policy_rng is not b.policy_rng
+    shared = _mutable_containers(a) & _mutable_containers(b)
+    assert not shared
+    assert _mutable_containers(a) & _mutable_containers(hierarchy) == set()

@@ -1,8 +1,4 @@
-"""Batch planning, eligibility, runner layering, and the numpy gate."""
-
-import pytest
-
-pytest.importorskip("numpy")
+"""Batch planning, eligibility and runner layering."""
 
 import repro.batch.plan as batch_plan
 from repro.batch import MIN_LANES, batch_eligible, group_key, plan_batch_groups
@@ -147,23 +143,6 @@ def test_plan_groups_and_passthrough():
     assert groups == [[0, 1]]
     assert passthrough == [2, 3, 4, 5]
     assert MIN_LANES == 2
-
-
-def test_plan_requires_numpy(monkeypatch):
-    monkeypatch.setattr(batch_plan, "HAVE_NUMPY", False)
-    specs = [_spec(secret=0), _spec(secret=1, reference_accesses=REFS_B)]
-    groups, passthrough = plan_batch_groups(specs)
-    assert groups == []
-    assert passthrough == [0, 1]
-    assert not batch_eligible(specs[0])
-
-
-def test_require_numpy_error_names_the_extra(monkeypatch):
-    from repro.batch import _numpy
-
-    monkeypatch.setattr(_numpy, "np", None)
-    with pytest.raises(ImportError, match=r"pip install repro\[batch\]"):
-        _numpy.require_numpy()
 
 
 # ----------------------------------------------------------------------

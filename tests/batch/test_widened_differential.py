@@ -11,8 +11,6 @@ and the sweep-level ``sweep.batch.*`` accounting.
 
 import pytest
 
-pytest.importorskip("numpy")
-
 import repro.batch.engine as engine_mod
 from repro.batch.engine import run_batch_group_detailed
 from repro.core.harness import LINE, run_victim_trial
@@ -136,8 +134,8 @@ def test_jitter_cohorts_do_not_cross_seeds():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_metrics_bit_identical(scheme):
-    """collect_metrics batches: follower registries are projected from
-    the lane SoA counters plus the leader's stage trace, and serialize
+    """collect_metrics batches: follower registries read each lane's own
+    cache and DRAM counters plus the leader's stage trace, and serialize
     identically to a cold trial's registry (TrialSummary equality
     covers the full metrics dict)."""
     specs = _specs(scheme, collect_metrics=True)
@@ -287,12 +285,10 @@ def test_divergent_lane_ejects_under_stream_dependence(extra):
 
 
 def test_forced_rng_divergence_ejects_exactly_that_lane(monkeypatch):
-    """Adversarial per-lane RNG check: skew one lane's jitter draws by
-    +1 and the mirrored latency must disagree with the scalar model on
-    the first jittered fill — ejecting exactly that lane, nothing else,
+    """Adversarial per-lane RNG check: add 1 to lane 1's own DRAM jitter
+    and its replayed latency must disagree with the scalar leader on the
+    first jittered fill — ejecting exactly that lane, nothing else,
     with outcomes still bit-identical to cold."""
-    import numpy as np
-
     victim = victim_by_name("gdnpeu")
     specs = _divergence_specs(victim, hierarchy_config=JITTERED)[:2] + [
         TrialSpec(
@@ -307,13 +303,17 @@ def test_forced_rng_divergence_ejects_exactly_that_lane(monkeypatch):
     cold = SerialSweepRunner().run_outcomes(specs)
     assert all(o.ok for o in cold)
 
-    real_draws = engine_mod.stream_jitter_draws
+    real_init = engine_mod.LockstepMirror.__init__
 
-    def skewed(state, lanes, cycle, core, jitter):
-        draws = real_draws(state, lanes, cycle, core, jitter)
-        return draws + (np.asarray(lanes) == 1).astype(draws.dtype)
+    def skew_lane_one(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        memory = self.lanes[1].memory
+        real_latency = memory.access_latency
+        memory.access_latency = lambda cycle=0, core=0: (
+            real_latency(cycle, core) + 1
+        )
 
-    monkeypatch.setattr(engine_mod, "stream_jitter_draws", skewed)
+    monkeypatch.setattr(engine_mod.LockstepMirror, "__init__", skew_lane_one)
     report = run_batch_group_detailed(specs)
     assert report.ejected == 1
     (cohort,) = report.cohorts

@@ -1,8 +1,11 @@
 """Tests for the generic set-associative cache."""
 
+import random
+
 import pytest
 
 from repro.memory.cache import Cache
+from repro.memory.replacement import POLICY_NAMES, make_policy
 
 
 def make_cache(**kw):
@@ -143,3 +146,45 @@ class TestIntrospection:
         c.access(0)
         c.stats.reset()
         assert c.stats.accesses == 0
+
+
+class TestLazySets:
+    """Sets are built on first fill; nothing else builds one."""
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_building_a_policy_draws_nothing(self, name):
+        """No policy draws from the shared RNG when it is built, so the
+        order in which sets appear cannot change results."""
+        rng = random.Random(11)
+        before = rng.getstate()
+        make_policy(name, 8, rng=rng)
+        c = make_cache(policy=name, num_ways=8, rng=rng)
+        c.fill(0x100)
+        assert rng.getstate() == before
+
+    def test_only_a_fill_builds_a_set(self):
+        c = make_cache(num_sets=4, num_ways=2)
+        sets_before = c.capture()[0]
+        assert not c.contains(0x100)
+        assert not c.access(0x100)
+        assert not c.touch(0x100)
+        assert not c.invalidate(0x100)
+        c.flush_all()
+        assert c.resident_lines() == []
+        assert c.set_contents(0x100) == [None, None]
+        assert c.set_policy_state(0x100) == make_policy("lru", 2).state_summary()
+        assert c.capture()[0] == sets_before
+        c.fill(0x100)
+        assert len(c.capture()[0]) == len(sets_before) + 1
+
+    def test_restore_rebuilds_exactly_the_captured_sets(self):
+        c = make_cache(num_sets=4, num_ways=2, policy="qlru")
+        c.fill(0x0)
+        c.fill(0x40)
+        saved = c.capture()
+        c.fill(0x80)
+        c.restore(saved)
+        assert c.capture() == saved
+        fresh = make_cache(num_sets=4, num_ways=2, policy="qlru")
+        fresh.restore(saved)
+        assert fresh.capture() == saved

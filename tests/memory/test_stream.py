@@ -1,13 +1,11 @@
-"""Counter-based RNG stream: determinism, seq semantics, SoA parity.
+"""Counter-based RNG stream: determinism and seq semantics.
 
 The whole point of :mod:`repro.memory.stream` is that a draw is a pure
-function of its key, so three independent consumers — the scalar
-:class:`MainMemory`, a restored snapshot, and the vectorized twin in
-:mod:`repro.batch.ops` — reconstruct identical values.  These tests pin
-each of those contracts.
+function of its key, so independent consumers — the scalar
+:class:`MainMemory`, a restored snapshot, and a batch lane restored
+from the leader's capture — reconstruct identical values.  These tests
+pin each of those contracts.
 """
-
-import pytest
 
 from repro.memory.main_memory import MainMemory
 from repro.memory.stream import (
@@ -135,54 +133,3 @@ def test_main_memory_reseed_restarts_the_stream():
     a.reseed(1)
     b = MainMemory(latency=200, jitter=9, seed=1)
     assert a.access_latency(5, 0) == b.access_latency(5, 0)
-
-
-# ----------------------------------------------------------------------
-# vectorized parity (the lockstep mirror's twin)
-# ----------------------------------------------------------------------
-def test_vectorized_stream_matches_scalar():
-    np = pytest.importorskip("numpy")
-    from repro.batch.ops import stream_words
-
-    seeds = np.array([0, 1, 7, 99, MASK64], dtype=np.uint64)
-    seqs = np.array([0, 1, 2, 0, 3], dtype=np.int64)
-    for domain in (DOMAIN_DRAM, DOMAIN_DRAM + 2, DOMAIN_NOISE_FIRE):
-        for cycle in (0, 1, 123456):
-            words = stream_words(seeds, domain, cycle, seqs)
-            for j in range(len(seeds)):
-                assert int(words[j]) == stream_word(
-                    int(seeds[j]), domain, cycle, int(seqs[j])
-                )
-
-
-def test_vectorized_jitter_draws_match_counter_streams():
-    """stream_jitter_draws advances per-lane seq state and draws exactly
-    as one scalar CounterStream per lane would."""
-    np = pytest.importorskip("numpy")
-    from types import SimpleNamespace
-
-    from repro.batch.ops import stream_jitter_draws
-
-    n, jitter = 4, 6
-    seed = 1234
-    state = SimpleNamespace(
-        stream_seed=np.full(n, seed, dtype=np.uint64),
-        stream_cycle=np.full(n, -1, dtype=np.int64),
-        stream_core=np.full(n, -1, dtype=np.int64),
-        stream_seq=np.full(n, -1, dtype=np.int64),
-    )
-    scalars = [CounterStream(seed) for _ in range(n)]
-    lanes = np.arange(n)
-    for cycle, core in [(10, 0), (10, 0), (10, 2), (12, 0), (12, 0)]:
-        draws = stream_jitter_draws(state, lanes, cycle, core, jitter)
-        expect = [s.jitter_draw(cycle, core, jitter) for s in scalars]
-        assert list(draws) == expect
-    # Partial-lane draws (only some lanes miss) stay per-lane exact.
-    sub = np.array([1, 3])
-    draws = stream_jitter_draws(state, sub, 13, 0, jitter)
-    assert list(draws) == [
-        scalars[1].jitter_draw(13, 0, jitter),
-        scalars[3].jitter_draw(13, 0, jitter),
-    ]
-    untouched = stream_jitter_draws(state, np.array([0]), 12, 0, jitter)
-    assert list(untouched) == [scalars[0].jitter_draw(12, 0, jitter)]

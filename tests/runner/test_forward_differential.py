@@ -77,7 +77,6 @@ def test_forward_fork_equals_cold():
 def test_forward_batch_bit_identical(scheme):
     """Batched lockstep == cold, with zero ejected lanes, per scheme
     across victims x secrets x seeds."""
-    pytest.importorskip("numpy")
     from repro.batch.engine import run_batch_group_detailed
 
     for victim in FORWARD_VICTIMS:
@@ -100,7 +99,6 @@ def test_forward_batch_event_traces_match_cold(scheme):
     """Batch-reconstructed event streams equal a cold tracer's, every
     kind, cycle and arg — on a leaking scheme the traces differ BETWEEN
     secrets, so this also proves the comparison has teeth."""
-    pytest.importorskip("numpy")
     from repro.batch.engine import run_batch_group_detailed
 
     for victim in FORWARD_VICTIMS:
