@@ -57,26 +57,45 @@ def test_bench_sweep_fault_tolerance(benchmark):
         faulted_resumed_sweep, rounds=1, iterations=1
     )
     retried = [o for o in result.outcomes if o.ok and o.attempts > 1]
+    max_attempts = max((o.attempts for o in result.outcomes), default=0)
+    kill = next(o for o in result.outcomes
+                if (o.victim, o.scheme, o.secret) == ("gdmshr", "fence-spectre", 0))
     lines = [
         "Fault-tolerant sweep smoke (deadlock + worker kill + resume)",
         f"  grid:          {len(specs)} trials "
         f"({len(VICTIMS)} victims x {len(SCHEMES)} schemes x 2 secrets)",
         f"  checkpointed:  {checkpointed} trials before the 'interrupt'",
         f"  resumed:       {len(result)} ok / {len(result.failures)} failed",
-        f"  retried ok:    {len(retried)} trials "
-        f"(max attempts {max((o.attempts for o in result.outcomes), default=0)})",
+        f"  retried ok:    {len(retried)} trials (max attempts {max_attempts})",
         "",
         "Failures (structured records, not crashes):",
     ]
     lines += [f"  {f.describe()}" for f in result.failures]
-    emit_report("sweep_fault_tolerance", "\n".join(lines))
+    emit_report(
+        "sweep_fault_tolerance",
+        "\n".join(lines),
+        data={
+            "grid": len(specs),
+            "checkpointed": checkpointed,
+            "resumed": {"ok": len(result), "failed": len(result.failures)},
+            "retried_ok": len(retried),
+            "max_attempts": max_attempts,
+            "failures": [
+                {"trial": f"{f.victim}/{f.scheme}/{f.secret}", "status": f.status.value}
+                for f in result.failures
+            ],
+            "killed_trial": {
+                "trial": "gdmshr/fence-spectre/0",
+                "status": kill.status.value,
+                "attempts": kill.attempts,
+            },
+        },
+    )
 
     # The deadlock is the only failure, and it is attributable.
     assert [f.status.value for f in result.failures] == ["deadlock"]
     assert "victim=" in result.failures[0].error_message
     # The killed worker's trial converged via retry.
-    kill = next(o for o in result.outcomes
-                if (o.victim, o.scheme, o.secret) == ("gdmshr", "fence-spectre", 0))
     assert kill.ok and kill.attempts >= 2
     # Every surviving summary is bit-identical to the fault-free run.
     expected = [s for s in reference

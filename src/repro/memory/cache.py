@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.memory.address import AddressLayout
-from repro.memory.replacement import SetPolicy, make_policy
+from repro.memory.replacement import SetPolicy, policy_factory
 from repro.trace.events import EventKind
 
 
@@ -107,7 +107,8 @@ class Cache:
         self.layout = AddressLayout(
             line_size=line_size, num_sets=num_sets, num_slices=num_slices
         )
-        self._rng = rng
+        # Resolved once per cache; each built set calls it for its policy.
+        self._new_policy = policy_factory(policy, num_ways, rng=rng)
         self._new_policy()  # a bad policy or way count fails here, not on a fill
         self._sets: List[Optional[_CacheSet]] = [None] * (num_sets * num_slices)
         # Hot-path bindings: access()/fill()/contains() run once per
@@ -132,9 +133,6 @@ class Cache:
     # ------------------------------------------------------------------
     def _set_for(self, addr: int) -> Optional[_CacheSet]:
         return self._sets[self._global_set(addr)]
-
-    def _new_policy(self) -> SetPolicy:
-        return make_policy(self.policy_name, self.num_ways, rng=self._rng)
 
     def _build_set(self, index: int) -> _CacheSet:
         cset = self._sets[index] = _CacheSet(self.num_ways, self._new_policy())

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 class SetPolicy(ABC):
@@ -232,26 +233,34 @@ class TreePLRUPolicy(SetPolicy):
         return list(self._bits)
 
 
-def make_policy(
+def policy_factory(
     name: str, num_ways: int, *, rng: Optional[random.Random] = None
-) -> SetPolicy:
-    """Factory used by cache construction; see :data:`POLICY_NAMES`."""
+) -> Callable[[], SetPolicy]:
+    """Resolve ``name`` once; the result builds a fresh per-set policy
+    on each call.  An unknown name raises here; a bad way count raises
+    on the first build."""
     from repro.memory.qlru import QLRUPolicy  # local import avoids a cycle
 
     name = name.lower()
-    if name == "lru":
-        return LRUPolicy(num_ways)
     if name == "random":
-        return RandomPolicy(num_ways, rng=rng)
-    if name == "nru":
-        return NRUPolicy(num_ways)
-    if name == "srrip":
-        return SRRIPPolicy(num_ways)
-    if name == "plru":
-        return TreePLRUPolicy(num_ways)
-    if name == "qlru":
-        return QLRUPolicy(num_ways)
-    raise ValueError(f"unknown replacement policy {name!r}")
+        return partial(RandomPolicy, num_ways, rng=rng)
+    cls = {
+        "lru": LRUPolicy,
+        "nru": NRUPolicy,
+        "srrip": SRRIPPolicy,
+        "plru": TreePLRUPolicy,
+        "qlru": QLRUPolicy,
+    }.get(name)
+    if cls is None:
+        raise ValueError(f"unknown replacement policy {name!r}")
+    return partial(cls, num_ways)
+
+
+def make_policy(
+    name: str, num_ways: int, *, rng: Optional[random.Random] = None
+) -> SetPolicy:
+    """One policy by name; see :data:`POLICY_NAMES`."""
+    return policy_factory(name, num_ways, rng=rng)()
 
 
 POLICY_NAMES = ("lru", "random", "nru", "srrip", "plru", "qlru")

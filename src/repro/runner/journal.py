@@ -14,6 +14,10 @@ Robustness properties:
 * **Tolerant loader** — a torn final line (the process died mid-write)
   or any corrupt line is skipped, never fatal; the affected trial simply
   re-runs.
+* **Incremental index** — a :class:`TrialJournal` remembers how far it
+  has read, so each :meth:`~TrialJournal.load` decodes only the records
+  appended since the last one.  A line counts once its newline is on
+  disk; an unterminated final line waits for the next append.
 * **Last record wins** — re-recording a digest (e.g. a parent replaying
   a chunk a worker already journaled) is harmless.
 * **Deterministic outcomes only** — ``ok``, ``deadlock`` and ``error``
@@ -25,13 +29,18 @@ Robustness properties:
   :meth:`record` returns.  Off by default: an fsync per trial costs
   real throughput (see the tradeoff note on :class:`TrialJournal`),
   and process-crash recovery — the common case — does not need it.
+
+The framing lives in two helpers, :func:`append_record` and
+:func:`read_records`.  The service tier's logs use the same two
+(:mod:`repro.service.wal` imports them), so the runner and the service
+write and scan JSONL one way.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.memory.hierarchy import AccessKind, VisibleAccess
 from repro.runner import faults
@@ -45,6 +54,65 @@ JOURNAL_VERSION = 1
 JOURNALED_STATUSES = frozenset(
     {TrialStatus.OK, TrialStatus.DEADLOCK, TrialStatus.ERROR}
 )
+
+
+def append_record(path: str, record: Dict[str, Any], *, op: str, fsync: bool = False) -> None:
+    """Append one JSON record (atomic single write, optional fsync).
+
+    The record is framed as ``"\\n" + json + "\\n"``.  The leading
+    newline is a record separator, not formatting: if the previous
+    writer died mid-append, its torn prefix has no terminator, and
+    without the separator this record would concatenate onto it and be
+    lost with it.  Readers skip the resulting blank lines.
+
+    ``op`` names the I/O point for the fault-injection layer
+    (:mod:`repro.runner.faults`), so chaos schedules can tear or
+    ENOSPC-fail exactly this append.
+    """
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    payload = ("\n" + line + "\n").encode()
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        faults.fs_write(fd, payload, op)
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def read_records(
+    path: str, offset: int = 0
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Complete records at ``offset`` onward, plus the new offset.
+
+    Corrupt or torn lines are skipped (their bytes are still consumed
+    once a newline terminates them); a partial final line is *not*
+    consumed — its bytes stay pending until the writer finishes or
+    dies, at which point a later record's leading separator closes it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except FileNotFoundError:
+        return [], offset
+    records: List[Dict[str, Any]] = []
+    consumed = 0
+    while True:
+        newline = data.find(b"\n", consumed)
+        if newline < 0:
+            break
+        line = data[consumed:newline].strip()
+        consumed = newline + 1
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # torn or corrupt record: skipped, bytes consumed
+        if isinstance(record, dict):
+            records.append(record)
+    return records, offset + consumed
 
 
 def summary_to_json(summary: TrialSummary) -> dict:
@@ -165,55 +233,56 @@ class TrialJournal:
     def __init__(self, path, *, fsync: bool = False) -> None:
         self.path = os.fspath(path)
         self.fsync = fsync
+        # The index: every outcome decoded so far, the byte offset the
+        # reads reached, and the (device, inode) of the file they read.
+        self._records: Dict[str, TrialOutcome] = {}
+        self._offset = 0
+        self._file: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
     def record(self, outcome: TrialOutcome) -> None:
-        """Append one outcome.  A single ``O_APPEND`` write, so records
-        from concurrent workers never interleave mid-line.
-
-        The leading newline is a record separator, not formatting: if
-        the previous writer died mid-append, its torn prefix has no
-        terminator, and without the separator this record would
-        concatenate onto it and be lost with it.  The loader skips the
-        resulting blank lines (and still reads journals written before
-        this hardening).
-        """
-        line = json.dumps(
-            outcome_to_json(outcome), sort_keys=True, separators=(",", ":")
+        """Append one outcome with :func:`append_record`: a single
+        ``O_APPEND`` write, so records from concurrent workers never
+        interleave mid-line.  The next :meth:`load` indexes it."""
+        append_record(
+            self.path,
+            outcome_to_json(outcome),
+            op=faults.OP_JOURNAL_APPEND,
+            fsync=self.fsync,
         )
-        payload = ("\n" + line + "\n").encode()
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            faults.fs_write(fd, payload, faults.OP_JOURNAL_APPEND)
-            if self.fsync:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def should_record(self, outcome: TrialOutcome) -> bool:
         return outcome.status in JOURNALED_STATUSES
 
     # ------------------------------------------------------------------
     def load(self) -> Dict[str, TrialOutcome]:
-        """All journaled outcomes by digest; corrupt lines are skipped
-        (a torn final write just means that trial re-runs)."""
-        records: Dict[str, TrialOutcome] = {}
+        """All journaled outcomes by digest (a copy of the index).
+
+        Reads only the bytes past the previous load and decodes each new
+        complete record once; the last record for a digest wins.
+        Corrupt lines are skipped (a torn final write just means that
+        trial re-runs), and an unterminated final line waits until a
+        later append terminates it.  A missing file, a file shorter
+        than the offset, or a replaced one (a new inode) resets the
+        index, so the next read starts again from byte 0.
+        """
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            stat = os.stat(self.path)
         except FileNotFoundError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                outcome = outcome_from_json(data)
-            except (ValueError, KeyError, TypeError):
-                continue  # torn or corrupt line: re-run that trial
-            records[outcome.digest] = outcome
-        return records
+            self._records, self._offset, self._file = {}, 0, None
+            return {}
+        ident = (stat.st_dev, stat.st_ino)
+        if ident != self._file or stat.st_size < self._offset:
+            self._records, self._offset, self._file = {}, 0, ident
+        if stat.st_size > self._offset:
+            records, self._offset = read_records(self.path, self._offset)
+            for data in records:
+                try:
+                    outcome = outcome_from_json(data)
+                except (ValueError, KeyError, TypeError):
+                    continue  # corrupt record: re-run that trial
+                self._records[outcome.digest] = outcome
+        return dict(self._records)
 
     def __len__(self) -> int:
         return len(self.load())

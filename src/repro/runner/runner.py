@@ -656,11 +656,8 @@ def _run_serial_outcomes(
     max_retries: int,
 ) -> List[TrialOutcome]:
     """Shared in-process execution loop: isolation + retry + journal."""
-    outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
-    _merge_journal(specs, outcomes, journal)
-    for i, spec in enumerate(specs):
-        if outcomes[i] is not None:
-            continue
+    outcomes: List[TrialOutcome] = []
+    for spec in specs:
         attempt = 0
         while True:
             outcome = run_trial_outcome(spec, attempt=attempt)
@@ -670,8 +667,8 @@ def _run_serial_outcomes(
             time.sleep(backoff_delay(attempt))
         if journal is not None and journal.should_record(outcome):
             journal.record(outcome)
-        outcomes[i] = outcome
-    return outcomes  # type: ignore[return-value]
+        outcomes.append(outcome)
+    return outcomes
 
 
 class SerialSweepRunner(SweepRunner):
@@ -797,7 +794,6 @@ class ParallelSweepRunner(SweepRunner):
         attempts = [0] * len(specs)
         # Status to report for a spec whose retries run out.
         exhausted_status = [TrialStatus.WORKER_LOST] * len(specs)
-        _merge_journal(specs, outcomes, journal)
         round_no = 0
         while True:
             todo = []

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.runner.journal import outcome_from_json
+from repro.runner.journal import TrialJournal
 from repro.runner.runner import backoff_delay, retries_exhausted_outcome
 from repro.runner.spec import SweepResult, TrialOutcome, TrialSpec, TrialStatus
 from repro.service import stream, wal
@@ -58,6 +58,8 @@ class _ActiveJob:
     view: JobView
     specs: List[TrialSpec]
     digests: List[str]
+    #: the job's trial journal, which its workers append to.
+    journal: TrialJournal
     #: digest -> executions charged so far (0 = not yet attempted).
     attempts: Dict[str, int] = field(default_factory=dict)
     #: digest -> wall-clock time before which it must not respawn.
@@ -68,7 +70,6 @@ class _ActiveJob:
     seen: Dict[str, TrialOutcome] = field(default_factory=dict)
     #: digests currently assigned to a live chunk of *this* supervisor.
     in_flight: Dict[str, str] = field(default_factory=dict)  # digest -> lease
-    journal_offset: int = 0
     started: float = 0.0
 
 
@@ -154,6 +155,7 @@ class SweepSupervisor:
             view=view,
             specs=specs,
             digests=[spec.digest() for spec in specs],
+            journal=TrialJournal(self.queue.trial_journal_path(view.job_id)),
             started=self.clock(),
         )
         for digest in job.digests:
@@ -222,16 +224,7 @@ class SweepSupervisor:
 
     # -- journal polling ----------------------------------------------
     def _poll_journal(self, job: _ActiveJob) -> None:
-        records, job.journal_offset = wal.read_records(
-            self.queue.trial_journal_path(job.view.job_id),
-            job.journal_offset,
-        )
-        for record in records:
-            try:
-                outcome = outcome_from_json(record)
-            except (KeyError, TypeError, ValueError):
-                continue  # torn/corrupt line: that trial just re-runs
-            job.seen[outcome.digest] = outcome
+        job.seen = job.journal.load()
 
     # -- process reaping / lease reclaim -------------------------------
     def _reap_processes(self) -> None:

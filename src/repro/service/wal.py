@@ -1,13 +1,14 @@
 """Append-only JSONL write-ahead-log helpers for the service tier.
 
-Same idiom as the trial journal (single ``O_APPEND`` write per record,
-torn-line-tolerant replay) with one hardening twist: every record is
-written as ``"\\n" + json + "\\n"``.  The leading newline is a record
-separator, not formatting — if a previous writer died mid-record, its
-torn prefix sits on the line *before* the separator, so the next
-record still starts on a fresh line and replay loses only the torn
-record, never the one appended after it.  Blank lines are skipped on
-read.
+The append and the scan are the trial journal's own:
+:func:`append_record` and :func:`read_records` are imported from
+:mod:`repro.runner.journal` (the service imports the runner, never the
+reverse).  Every record is written with a single ``O_APPEND`` write as
+``"\\n" + json + "\\n"``.  The leading newline is a record separator,
+not formatting — if a previous writer died mid-record, its torn prefix
+sits on the line *before* the separator, so the next record still
+starts on a fresh line and replay loses only the torn record, never the
+one appended after it.  Blank lines are skipped on read.
 
 :func:`read_records` supports incremental tailing: pass the offset a
 previous call returned and only complete (newline-terminated) records
@@ -19,67 +20,23 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
-from repro.runner import faults
+from repro.runner.journal import append_record, read_records
+
+__all__ = [
+    "append_record",
+    "atomic_write_json",
+    "json_line",
+    "load_json",
+    "read_records",
+    "replay",
+]
 
 
 def json_line(record: Dict[str, Any]) -> str:
     """One canonical JSONL line (compact, sorted keys, newline-terminated)."""
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def append_record(path: str, record: Dict[str, Any], *, op: str, fsync: bool = False) -> None:
-    """Append one JSON record (atomic single write, optional fsync).
-
-    ``op`` names the I/O point for the fault-injection layer
-    (:mod:`repro.runner.faults`), so chaos schedules can tear or
-    ENOSPC-fail exactly this append.
-    """
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    payload = ("\n" + line + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        faults.fs_write(fd, payload, op)
-        if fsync:
-            os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def read_records(
-    path: str, offset: int = 0
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Complete records at ``offset`` onward, plus the new offset.
-
-    Corrupt or torn lines are skipped (their bytes are still consumed
-    once a newline terminates them); a partial final line is *not*
-    consumed — its bytes stay pending until the writer finishes or
-    dies, at which point a later record's leading separator closes it.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-    except FileNotFoundError:
-        return [], offset
-    records: List[Dict[str, Any]] = []
-    consumed = 0
-    while True:
-        newline = data.find(b"\n", consumed)
-        if newline < 0:
-            break
-        line = data[consumed:newline].strip()
-        consumed = newline + 1
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn or corrupt record: skipped, bytes consumed
-        if isinstance(record, dict):
-            records.append(record)
-    return records, offset + consumed
 
 
 def replay(path: str) -> Iterator[Dict[str, Any]]:

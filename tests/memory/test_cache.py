@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.memory import cache as cache_module
 from repro.memory.cache import Cache
 from repro.memory.replacement import POLICY_NAMES, make_policy
 
@@ -188,3 +189,26 @@ class TestLazySets:
         fresh = make_cache(num_sets=4, num_ways=2, policy="qlru")
         fresh.restore(saved)
         assert fresh.capture() == saved
+
+    def test_policy_resolved_once_per_cache(self, monkeypatch):
+        calls = []
+        real = cache_module.policy_factory
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "policy_factory", counting)
+        c = make_cache(num_sets=4, num_ways=2, policy="qlru")
+        for line in range(8):
+            c.fill(line * 64)
+        c.restore(c.capture())
+        assert len(c.capture()[0]) == 4
+        assert calls == [("qlru", 2)]
+
+    @pytest.mark.parametrize(
+        "policy, num_ways", [("mystery", 4), ("plru", 6), ("lru", 0)]
+    )
+    def test_bad_policy_or_ways_fail_at_construction(self, policy, num_ways):
+        with pytest.raises(ValueError):
+            make_cache(num_ways=num_ways, policy=policy)

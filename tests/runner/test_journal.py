@@ -8,9 +8,13 @@ sweep can mangle the file — torn final lines, duplicates, junk.
 """
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.runner import journal as journal_module
 from repro.runner import (
     TrialJournal,
     TrialOutcome,
@@ -136,3 +140,168 @@ def test_spec_digest_is_stable_and_discriminating():
     assert a.digest() == TrialSpec(
         victim="gdnpeu", scheme="dom-nontso", secret=1, seed=7
     ).digest()
+
+
+# ---------------------------------------------------------------------
+# the incremental index
+# ---------------------------------------------------------------------
+def failure_with(digest, attempts=1):
+    return TrialOutcome(
+        digest=digest,
+        victim="gdnpeu",
+        scheme="dom-nontso",
+        secret=0,
+        seed=3,
+        status=TrialStatus.DEADLOCK,
+        attempts=attempts,
+        error_type="DeadlockError",
+        error_message=f"injected deadlock ({digest})",
+        cycle=50,
+    )
+
+
+def framed(outcome):
+    """The exact bytes ``TrialJournal.record`` appends for ``outcome``."""
+    line = json.dumps(outcome_to_json(outcome), sort_keys=True, separators=(",", ":"))
+    return ("\n" + line + "\n").encode()
+
+
+def count_decodes(monkeypatch):
+    calls = []
+
+    def counting(data):
+        calls.append(data["digest"])
+        return outcome_from_json(data)
+
+    monkeypatch.setattr(journal_module, "outcome_from_json", counting)
+    return calls
+
+
+def test_second_load_decodes_only_new_records(tmp_path, monkeypatch, ok_outcome):
+    journal = TrialJournal(tmp_path / "sweep.jsonl")
+    journal.record(ok_outcome)
+    journal.record(make_failure())
+    first = journal.load()
+    calls = count_decodes(monkeypatch)
+    assert journal.load() == first
+    assert calls == []  # no new bytes: nothing decoded
+    journal.record(failure_with("later"))
+    assert set(journal.load()) == set(first) | {"later"}
+    assert calls == ["later"]
+
+
+def test_load_returns_a_copy(tmp_path):
+    journal = TrialJournal(tmp_path / "sweep.jsonl")
+    journal.record(make_failure())
+    journal.load().clear()
+    assert list(journal.load()) == ["abc123"]
+
+
+def test_second_instance_appends_reach_the_first(tmp_path, ok_outcome):
+    path = tmp_path / "sweep.jsonl"
+    parent = TrialJournal(path)
+    parent.record(make_failure())
+    assert list(parent.load()) == ["abc123"]
+    # A pool worker journals into the same file through its own instance.
+    worker = TrialJournal(path)
+    worker.record(ok_outcome)
+    worker.record(failure_with("abc123", attempts=5))
+    records = parent.load()
+    assert records[ok_outcome.digest] == ok_outcome
+    assert records["abc123"].attempts == 5  # last record still wins
+
+
+def _truncate(path, tmp_path):
+    with open(path, "r+b") as fh:
+        fh.truncate(len(framed(failure_with("a"))))
+
+
+def _delete(path, tmp_path):
+    os.remove(path)
+
+
+def _replace(path, tmp_path):
+    # A different, longer file under the same name: the index must not
+    # read it from the old offset.
+    other = tmp_path / "other.jsonl"
+    writer = TrialJournal(other)
+    for digest in ("x", "y", "z", "w"):
+        writer.record(failure_with(digest, attempts=7))
+    assert os.path.getsize(other) > os.path.getsize(path)
+    os.replace(other, path)
+
+
+@pytest.mark.parametrize("mutate", [_truncate, _delete, _replace])
+def test_long_lived_instance_matches_a_fresh_one(tmp_path, mutate):
+    path = tmp_path / "sweep.jsonl"
+    journal = TrialJournal(path)
+    journal.record(failure_with("a"))
+    journal.record(failure_with("b"))
+    assert set(journal.load()) == {"a", "b"}
+    mutate(path, tmp_path)
+    assert journal.load() == TrialJournal(path).load()
+    journal.record(failure_with("c", attempts=2))
+    assert journal.load() == TrialJournal(path).load()
+    assert journal.load()["c"].attempts == 2
+
+
+def test_unterminated_final_line_waits_for_the_next_append(tmp_path):
+    """A valid record without its closing newline is not served: the
+    writer may still be mid-append, and ``record()`` never acknowledged
+    it.  The next append's leading separator terminates it, and from
+    then on it loads like any other record."""
+    path = tmp_path / "sweep.jsonl"
+    with open(path, "wb") as fh:
+        fh.write(framed(failure_with("pending"))[:-1])
+    journal = TrialJournal(path)
+    assert journal.load() == {}
+    assert TrialJournal(path).load() == {}
+    journal.record(failure_with("next"))
+    assert set(journal.load()) == {"pending", "next"}
+    assert journal.load() == TrialJournal(path).load()
+
+
+_DIGESTS = st.sampled_from(["d0", "d1", "d2", "d3"])
+_OUTCOMES = st.builds(failure_with, _DIGESTS, st.integers(1, 4))
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _OUTCOMES),
+        st.tuples(st.just("other"), _OUTCOMES),
+        st.tuples(
+            st.just("junk"),
+            st.one_of(
+                st.binary(max_size=40),
+                st.sampled_from([b"[1]", b"3", b"null", b'{"v":1}', b"{"]),
+            ),
+        ),
+        st.tuples(st.just("torn"), st.tuples(_OUTCOMES, st.floats(0.0, 1.0))),
+        st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_STEPS)
+def test_incremental_load_equals_a_fresh_load(steps):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "sweep.jsonl")
+        journal = TrialJournal(path)
+        other = TrialJournal(path)
+        for kind, arg in steps:
+            if kind == "record":
+                journal.record(arg)
+            elif kind == "other":
+                other.record(arg)
+            elif kind == "junk":
+                with open(path, "ab") as fh:
+                    fh.write(arg + b"\n")
+            elif kind == "torn":
+                outcome, frac = arg
+                payload = framed(outcome)
+                with open(path, "ab") as fh:
+                    fh.write(payload[: int(len(payload) * frac)])
+            elif os.path.exists(path):
+                with open(path, "r+b") as fh:
+                    fh.truncate(int(os.path.getsize(path) * arg))
+            assert journal.load() == TrialJournal(path).load()
