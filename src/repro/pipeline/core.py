@@ -7,6 +7,15 @@ stage selects the **oldest ready** instruction per port — so a ready
 younger (speculative) instruction grabs a just-freed non-pipelined unit
 while an older instruction is still waking up.  That is the cascade of
 Figure 3.
+
+Wakeup is event-driven.  Rename takes each operand whose producer has
+already broadcast from the scoreboard, with that broadcast cycle + 1 as
+the instruction's ``ready_cycle``, and registers every other operand as
+a waiter on its producer.  The broadcast hands the value to each
+waiter and sets ``ready_cycle`` to *t+1*; an entry whose last producer
+broadcast joins the reservation station's seq-ordered ready list.
+Issue walks only that list and skips entries whose ``ready_cycle`` is
+still ahead, so the *t+1* rule is unchanged.
 """
 
 from __future__ import annotations
@@ -160,6 +169,9 @@ class Core:
         # rename / value plumbing
         self._producers: Dict[str, int] = {}
         self._scoreboard: Dict[int, Tuple[Optional[int], int]] = {}
+        #: producer seq -> the (consumer, source) pairs waiting for its
+        #: broadcast.
+        self._waiters: Dict[int, List[Tuple[DynInstr, SourceOperand]]] = {}
         self._fences: Set[int] = set()
 
         # diagnostics
@@ -317,9 +329,10 @@ class Core:
         for load in self.lsu.parked_loads():
             if not self.lsu.parked_load_keeps_waiting(self, load):
                 return None
-        # Nothing in the RS may be able to issue.
+        # Nothing in the RS may be able to issue.  An entry still waiting
+        # on a producer cannot, unless §5.4 preemption may fire for it.
         oldest_fence = self._oldest_fence()
-        for instr in self.rs:
+        for instr in self.rs if self.scheme.preempt_eus else self.rs.ready:
             if not self._issue_blocked_next_cycle(instr, flags_map, oldest_fence):
                 return None
         # Dispatch must be blocked (or have nothing to do).
@@ -375,12 +388,9 @@ class Core:
             return True
         if oldest_fence is not None and oldest_fence < instr.seq:
             return True
-        for src in instr.sources:
-            if src.producer_seq is None or src.value is not None:
-                continue
-            if src.producer_seq not in self._scoreboard:
-                return True  # producer has not broadcast yet
-            # Broadcast happened in a past cycle => ready next cycle.
+        if instr.pending_sources:
+            return True  # a producer has not broadcast yet
+        # Every broadcast happened by this cycle => ready next cycle.
         flags = flags_map.get(instr.seq)
         if flags is None:
             return False
@@ -537,9 +547,29 @@ class Core:
                     instr=instr.name,
                 )
             if instr.static.dst is not None or instr.is_load:
-                self._scoreboard[instr.seq] = (instr.value, self.cycle)
+                self._scoreboard[instr.seq] = (instr.value, cycle)
+                waiters = self._waiters.pop(instr.seq, None)
+                if waiters is not None:
+                    self._wake(waiters, instr.value, cycle + 1)
             if instr.is_branch:
                 self._resolve_branch(instr)
+
+    def _wake(
+        self,
+        waiters: List[Tuple[DynInstr, SourceOperand]],
+        value: Optional[int],
+        ready_cycle: int,
+    ) -> None:
+        """Hand a broadcast ``value`` to its waiting sources; a consumer
+        whose last producer this was joins the RS ready list."""
+        for consumer, src in waiters:
+            if consumer.phase is not Phase.DISPATCHED:
+                continue  # squashed while it waited
+            src.value = value
+            consumer.ready_cycle = ready_cycle
+            consumer.pending_sources -= 1
+            if not consumer.pending_sources:
+                self.rs.wake(consumer)
 
     def _resolve_branch(self, branch: DynInstr) -> None:
         branch.resolved = True
@@ -569,7 +599,9 @@ class Core:
 
     def update_value(self, instr: DynInstr, value: int) -> None:
         """Correct a completed instruction's result (value-prediction
-        validation): replayed consumers will read the fixed value."""
+        validation): replayed consumers will read the fixed value.  The
+        caller replays everything younger, so no consumer keeps the
+        operand it captured at broadcast."""
         instr.value = value
         entry = self._scoreboard.get(instr.seq)
         if entry is not None:
@@ -590,6 +622,7 @@ class Core:
             if instr.is_load:
                 self.lsu.release_slot()
             self._scoreboard.pop(instr.seq, None)
+            self._waiters.pop(instr.seq, None)
         self._fences = {s for s in self._fences if s <= seq}
         self._producers = {}
         for entry in self.rob:
@@ -621,23 +654,25 @@ class Core:
     # issue
     # ==================================================================
     def _issue(self) -> None:
-        # Hot loop: runs over the whole RS every cycle, so bind the
-        # per-iteration attribute chains to locals once.
+        ready = self.rs.ready
+        if not ready:
+            return
         cycle = self.cycle
         eus = self.eus
         scheme_may_issue = self.scheme.may_issue
         flags_get = self.safety_flags.get
-        sources_ready = self._sources_ready
         oldest_fence = self._oldest_fence()
-        for instr in self.rs.waiting_sorted():
+        # Walk a copy: a §5.4 preempted occupant rejoins the ready list
+        # mid-walk, and issues next cycle at the earliest.
+        for instr in tuple(ready):
             if oldest_fence is not None and oldest_fence < instr.seq:
                 break  # this entry and every younger one wait on the fence
+            if instr.ready_cycle > cycle:
+                continue  # woken this cycle: one-cycle wakeup delay
             eu = eus[instr.static.port]
             if not eu.can_accept(cycle):
                 if not self._try_preempt(eu, instr):
                     continue
-            if not sources_ready(instr):
-                continue
             flags = flags_get(instr.seq)
             if flags is not None and not scheme_may_issue(self, instr, flags):
                 continue
@@ -646,13 +681,13 @@ class Core:
     def _try_preempt(self, eu: ExecutionUnit, instr: DynInstr) -> bool:
         """§5.4 'squashable EU': evict a younger occupant for an older,
         ready instruction (only when the scheme opts in).  The caller has
-        checked that no pending fence blocks ``instr``."""
+        checked that ``instr`` is ready and that no pending fence blocks
+        it.  The occupant keeps its captured operands, so it goes back
+        onto the ready list."""
         if not self.scheme.preempt_eus or eu.config.pipelined:
             return False
         occupant = eu.current_occupant()
         if occupant is None or occupant.seq <= instr.seq:
-            return False
-        if not self._sources_ready(instr):
             return False
         eu.abort(occupant)
         occupant.phase = Phase.DISPATCHED
@@ -664,20 +699,6 @@ class Core:
         """Seq of the oldest pending fence; every younger instruction
         waits for it to retire."""
         return min(self._fences) if self._fences else None
-
-    def _sources_ready(self, instr: DynInstr) -> bool:
-        scoreboard_get = self._scoreboard.get
-        cycle = self.cycle
-        for src in instr.sources:
-            if src.producer_seq is None:
-                continue
-            if src.value is not None:
-                continue
-            entry = scoreboard_get(src.producer_seq)
-            if entry is None or entry[1] >= cycle:
-                return False
-            src.value = entry[0]
-        return True
 
     def _do_issue(self, instr: DynInstr, eu: ExecutionUnit) -> None:
         values = instr.source_values()
@@ -787,16 +808,27 @@ class Core:
             budget -= 1
 
     def _rename(self, instr: DynInstr) -> None:
+        """Map sources to producers.  An operand whose producer already
+        broadcast is read from the scoreboard now; any other waits for
+        the broadcast (see :meth:`_wake`)."""
         sources: List[SourceOperand] = []
         regs = list(instr.static.srcs)
         if instr.is_store:
             regs.append(instr.static.value_src)  # type: ignore[arg-type]
         for reg in regs:
             producer = self._producers.get(reg)
-            if producer is not None:
-                sources.append(SourceOperand(reg, producer))
-            else:
+            if producer is None:
                 sources.append(SourceOperand(reg, None, self.regfile.get(reg, 0)))
+                continue
+            src = SourceOperand(reg, producer)
+            sources.append(src)
+            entry = self._scoreboard.get(producer)
+            if entry is None:
+                self._waiters.setdefault(producer, []).append((instr, src))
+                instr.pending_sources += 1
+            else:
+                src.value = entry[0]
+                instr.ready_cycle = max(instr.ready_cycle, entry[1] + 1)
         instr.sources = sources
 
     # ==================================================================

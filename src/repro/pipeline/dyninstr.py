@@ -37,6 +37,12 @@ class DynInstr:
     pc_addr: int
     phase: Phase = Phase.FETCHED
     sources: List[SourceOperand] = field(default_factory=list)
+    #: Sources whose producer has not broadcast yet; the RS moves the
+    #: entry to its ready list when this reaches 0.
+    pending_sources: int = 0
+    #: First cycle at which every broadcast source is visible (the
+    #: broadcast cycle + 1: one-cycle wakeup delay).
+    ready_cycle: int = 0
     value: Optional[int] = None
     #: Effective address (memory ops), set at issue.
     addr: Optional[int] = None

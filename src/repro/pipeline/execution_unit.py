@@ -88,6 +88,8 @@ class ExecutionUnit:
 
     def drain_finished(self, cycle: int) -> List[DynInstr]:
         """Ops whose execution finished by ``cycle`` (removed here)."""
+        if not self._in_flight:
+            return []
         done = [op for op in self._in_flight if op.finish_cycle <= cycle]
         if done:
             self._in_flight = [

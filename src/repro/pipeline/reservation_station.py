@@ -6,6 +6,14 @@ behaviour the paper's advanced defense rule 1 ("no instruction releases
 its hardware resources while speculative", §5.4) changes; the
 :class:`~repro.schemes.priority.PriorityDefense` scheme opts into
 holding slots until retirement via :attr:`hold_until_nonspec`.
+
+The station keeps two seq-ordered lists.  The *waiting* list holds
+every entry not yet issued.  The *ready* list is the part of it whose
+producers have all broadcast (``pending_sources == 0``): an entry joins
+it at insert when rename found every operand, or through
+:meth:`wake` when its last producer broadcasts.  The issue stage
+walks only the ready list; an entry woken at cycle *c* carries
+``ready_cycle`` *c+1*, and issue skips it until then.
 """
 
 from __future__ import annotations
@@ -20,12 +28,28 @@ def _seq(instr: DynInstr) -> int:
     return instr.seq
 
 
+def _remove(entries: List[DynInstr], instr: DynInstr) -> bool:
+    i = bisect_left(entries, instr.seq, key=_seq)
+    if i == len(entries) or entries[i] is not instr:
+        return False
+    del entries[i]
+    return True
+
+
+def _insert(entries: List[DynInstr], instr: DynInstr) -> None:
+    if not entries or entries[-1].seq < instr.seq:
+        entries.append(instr)
+    else:
+        insort(entries, instr, key=_seq)
+
+
 class ReservationStation:
-    """Bounded pool of waiting instructions, scanned oldest-first.
+    """Bounded pool of waiting instructions, issued oldest ready first.
 
     Waiting entries are kept in seq order as they are inserted.  Dispatch
     inserts in program order, so an insert is an append; the one older
-    arrival is an occupant that §5.4 preemption sends back.
+    arrival is an occupant that §5.4 preemption sends back, which joins
+    the ready list at once because its operands are already captured.
     """
 
     def __init__(self, size: int) -> None:
@@ -33,6 +57,8 @@ class ReservationStation:
             raise ValueError("RS size must be >= 1")
         self.size = size
         self._entries: List[DynInstr] = []  # kept sorted by seq
+        #: The waiting entries with every producer broadcast, by seq.
+        self.ready: List[DynInstr] = []
         self._occupied = 0
         #: Micro-op weights still held by issued-but-speculative entries
         #: (only used when a scheme enables resource holding).
@@ -60,22 +86,23 @@ class ReservationStation:
     def insert(self, instr: DynInstr) -> None:
         if not self.can_accept(instr):
             raise RuntimeError("reservation station overflow")
-        entries = self._entries
-        if not entries or entries[-1].seq < instr.seq:
-            entries.append(instr)
-        else:
-            insort(entries, instr, key=_seq)
+        _insert(self._entries, instr)
+        if not instr.pending_sources:
+            _insert(self.ready, instr)
         self._occupied += instr.static.micro_ops
         self.peak_occupancy = max(self.peak_occupancy, self._occupied)
+
+    def wake(self, instr: DynInstr) -> None:
+        """Move a waiting entry whose last producer just broadcast onto
+        the ready list."""
+        _insert(self.ready, instr)
 
     def remove_on_issue(self, instr: DynInstr, *, hold_slot: bool = False) -> None:
         """Issue ``instr``: leave the waiting pool; optionally keep the
         micro-op slots allocated until :meth:`release_held`."""
-        entries = self._entries
-        i = bisect_left(entries, instr.seq, key=_seq)
-        if i == len(entries) or entries[i] is not instr:
+        if not _remove(self._entries, instr):
             raise ValueError(f"#{instr.seq} is not waiting in the RS")
-        del entries[i]
+        _remove(self.ready, instr)
         if hold_slot:
             self._held[instr.seq] = instr.static.micro_ops
         else:
@@ -91,13 +118,9 @@ class ReservationStation:
         cut = bisect_right(self._entries, seq, key=_seq)
         squashed = self._entries[cut:]
         del self._entries[cut:]
+        del self.ready[bisect_right(self.ready, seq, key=_seq):]
         for entry in squashed:
             self._occupied -= entry.static.micro_ops
         for held_seq in [s for s in self._held if s > seq]:
             self.release_held(held_seq)
         return squashed
-
-    def waiting_sorted(self) -> List[DynInstr]:
-        """A copy of the entries, oldest-first (age-ordered scheduling,
-        §3.2)."""
-        return list(self._entries)

@@ -14,15 +14,19 @@ cycle boundaries, where every stage has finished its bookkeeping):
   head to tail, and no retired entry lingers in the window.
 * **ROB indices** — the in-order load, store and conditional-branch
   indices behind the safety frontier equal the filtered entries.
-* **RS age ordering** — the waiting list the issue stage scans
-  oldest-first is strictly seq-ascending.
+* **RS age ordering** — the waiting list is strictly seq-ascending.
+* **RS ready list** — the list the issue stage walks is seq-ascending,
+  holds exactly the waiting entries whose producers have all broadcast,
+  and those of them ready by the current cycle are the entries
+  :func:`reference_ready` finds by scanning the whole station.
 * **RS slot accounting** — occupied micro-ops equal the sum over waiting
   entries plus held (issued-but-speculative) weights, within capacity.
 * **No MSHR leaks across squash** — every MSHR consumer is a live
   in-flight LSU load, and the file never exceeds capacity.
 * **LSU slot accounting** — LSU occupancy equals the loads in the ROB.
 * **Fence/producer bookkeeping** — pending fences and rename producers
-  reference only live ROB entries.
+  reference only live ROB entries, and wakeup waiter lists only live
+  producers that have not broadcast.
 * **Scheme ``peek_*`` agreement** — the side-effect-free previews
   (``peek_load_decision`` / ``peek_may_issue``), which license the idle
   fast-forward, must match the real decision whenever they claim to know
@@ -37,13 +41,38 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from repro.pipeline.dyninstr import DynInstr, Phase
+from repro.pipeline.dyninstr import DynInstr, Phase, SourceOperand
 from repro.pipeline.rob import SafetyFlags
 from repro.pipeline.scheme_api import LoadDecision
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import Core
     from repro.system.machine import Machine
+
+
+def reference_ready(core: "Core") -> List[DynInstr]:
+    """The RS entries that may issue at ``core.cycle``, oldest first, by
+    a side-effect-free scan of every entry: each source has no producer,
+    or a ``_scoreboard`` entry broadcast before ``core.cycle``, or (with
+    no scoreboard entry) already has a value.
+
+    This is the scan the issue stage made before wakeup became
+    event-driven.  The scoreboard decides before a captured value does,
+    because a broadcast now hands its value over in the broadcast cycle,
+    one cycle before the consumer may use it.
+    """
+    scoreboard = core._scoreboard
+    cycle = core.cycle
+
+    def ready(src: SourceOperand) -> bool:
+        if src.producer_seq is None:
+            return True
+        entry = scoreboard.get(src.producer_seq)
+        if entry is None:
+            return src.value is not None
+        return entry[1] < cycle
+
+    return [e for e in core.rs if all(ready(src) for src in e.sources)]
 
 
 class InvariantViolation(RuntimeError):
@@ -176,6 +205,7 @@ class InvariantSanitizer:
         self._check_rob_order(core)
         self._check_rob_indices(core)
         self._check_rs_order(core)
+        self._check_rs_ready(core)
         self._check_rs_accounting(core)
         self._check_mshrs(core)
         self._check_lsu_slots(core)
@@ -229,6 +259,28 @@ class InvariantSanitizer:
                     core, f"RS age order broken: #{entry.seq} follows #{prev}"
                 )
             prev = entry.seq
+
+    def _check_rs_ready(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        ready = core.rs.ready
+        seqs = [e.seq for e in ready]
+        if any(a >= b for a, b in zip(seqs, seqs[1:])):
+            self._fail(core, f"RS ready list out of seq order: {seqs}")
+        woken = [e for e in core.rs if not e.pending_sources]
+        if [id(e) for e in ready] != [id(e) for e in woken]:
+            self._fail(
+                core,
+                f"RS ready list {seqs} is not the waiting entries with "
+                f"every producer broadcast, {[e.seq for e in woken]}",
+            )
+        issuable = [e.seq for e in ready if e.ready_cycle <= core.cycle]
+        scanned = [e.seq for e in reference_ready(core)]
+        if issuable != scanned:
+            self._fail(
+                core,
+                f"RS ready list drifted: {issuable} ready by cycle "
+                f"{core.cycle}, the scan finds {scanned}",
+            )
 
     def _check_rs_accounting(self, core: "Core") -> None:
         self.invariant_checks += 1
@@ -308,6 +360,17 @@ class InvariantSanitizer:
                 core,
                 f"rename producer(s) reference squashed/retired "
                 f"instruction(s): {stale_producers}",
+            )
+        stale_waiters = sorted(
+            seq
+            for seq in core._waiters
+            if seq not in rob_seqs or seq in core._scoreboard
+        )
+        if stale_waiters:
+            self._fail(
+                core,
+                f"wakeup waiters kept for squashed or broadcast "
+                f"producer(s) {stale_waiters}",
             )
 
 

@@ -175,7 +175,7 @@ class TestReservationStationHolding:
 
 class TestReservationStationOrder:
     def seqs(self, rs):
-        return [i.seq for i in rs.waiting_sorted()]
+        return [i.seq for i in rs]
 
     def test_older_insert_lands_in_place(self):
         rs = ReservationStation(8)

@@ -75,6 +75,13 @@ class TestSeededViolations:
         with pytest.raises(InvariantViolation, match="fence"):
             result.sanitizer.check_core(core)
 
+    def test_stale_waiters_raise(self):
+        result = self.run_and_keep_handles()
+        core = result.core
+        core._waiters[10_000] = []
+        with pytest.raises(InvariantViolation, match="wakeup waiters"):
+            result.sanitizer.check_core(core)
+
     def mid_run_core(self):
         """A core paused mid-trial, with loads in the ROB and several
         entries waiting in the RS."""
@@ -98,6 +105,15 @@ class TestSeededViolations:
         core = self.mid_run_core()
         core.rs._entries.reverse()
         with pytest.raises(InvariantViolation, match="RS age order broken"):
+            InvariantSanitizer().check_core(core)
+
+    def test_rs_ready_list_drop_raises(self):
+        core = self.mid_run_core()
+        ready = core.rs.ready
+        issuable = [e for e in ready if e.ready_cycle <= core.cycle]
+        assert issuable
+        ready.remove(issuable[0])
+        with pytest.raises(InvariantViolation, match="RS ready list"):
             InvariantSanitizer().check_core(core)
 
     def test_violation_carries_cycle_and_context(self):
