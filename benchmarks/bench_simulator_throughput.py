@@ -260,8 +260,8 @@ def test_bench_snapshot_fork_and_cache_speedup(benchmark, tmp_path):
                 "inert-seed variants and relabels its summary for the "
                 "others; live DRAM jitter makes the seed matter, so the "
                 "jittered grid runs cold.  The cache replays memoized "
-                "outcomes keyed on spec digest + snapshot state-schema "
-                "hash.",
+                "outcomes keyed on spec digest + build fingerprint (a "
+                "hash of the package's source files).",
             ]
         ),
         data={

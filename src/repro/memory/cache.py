@@ -80,9 +80,6 @@ class Cache:
     builds nothing, so two caches that saw the same fills capture equal.
     """
 
-    SNAP_VERSION = 2
-    SNAP_SCHEMA = ("sets(index,lines,policy_state)", "stats(5)")
-
     def __init__(
         self,
         name: str,

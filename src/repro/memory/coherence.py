@@ -50,9 +50,6 @@ class CoherenceStats:
 class CoherenceDirectory:
     """Directory of data-line sharers and their MESI states."""
 
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = ("sharers(line,core,state)", "stats(4)")
-
     def __init__(self, num_cores: int, *, writeback_penalty: int = 30) -> None:
         if num_cores < 1:
             raise ValueError("need at least one core")

@@ -124,16 +124,6 @@ class CacheHierarchy:
 
     LEVELS = ("L1", "L2", "LLC", "DRAM")
 
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = (
-        "caches(l1i,l1d,l2,llc)",
-        "memory",
-        "mshrs",
-        "visible_log",
-        "coherence",
-        "policy_rng_state",
-    )
-
     def __init__(self, num_cores: int, config: Optional[HierarchyConfig] = None):
         if num_cores < 1:
             raise ValueError("need at least one core")

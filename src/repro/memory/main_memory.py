@@ -15,13 +15,6 @@ from repro.memory.stream import CounterStream
 class MainMemory:
     """Sparse physical memory with optional access-latency jitter."""
 
-    #: Snapshot schema (see :mod:`repro.snapshot.schema`): bump when the
-    #: capture tuple layout changes.  v2: the Mersenne Twister jitter RNG
-    #: was replaced by the counter-based stream of
-    #: :mod:`repro.memory.stream`, whose whole state is four ints.
-    SNAP_VERSION = 2
-    SNAP_SCHEMA = ("data", "stream_state", "reads", "writes")
-
     def __init__(
         self,
         *,

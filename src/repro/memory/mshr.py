@@ -33,15 +33,6 @@ class MSHREntry:
 class MSHRFile:
     """Fixed-capacity MSHR file with per-line coalescing."""
 
-    SNAP_VERSION = 1
-    SNAP_SCHEMA = (
-        "entries(line,allocated_at,consumers)",
-        "peak_occupancy",
-        "allocations",
-        "coalesced",
-        "rejections",
-    )
-
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("MSHR file needs at least one entry")

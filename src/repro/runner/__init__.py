@@ -38,7 +38,7 @@ from repro.runner.spec import (
     TrialSummary,
     expand_grid,
 )
-from repro.runner.cache import TrialCache, cache_key
+from repro.runner.cache import TrialCache, build_fingerprint, cache_key
 from repro.runner.replay import REPLAY_MAX_CYCLES, pair_specs, replay_pair
 from repro.runner.journal import TrialJournal
 from repro.runner.metrics_io import (
@@ -48,10 +48,12 @@ from repro.runner.metrics_io import (
 )
 from repro.runner.runner import (
     ParallelSweepRunner,
+    RetryLedger,
     SerialSweepRunner,
     SweepRunner,
     backoff_delay,
     make_runner,
+    run_chunk,
     run_trial_outcome,
     run_trial_spec,
 )
@@ -73,6 +75,7 @@ __all__ = [
     "TrialJournal",
     "TrialCache",
     "cache_key",
+    "build_fingerprint",
     "expand_grid",
     "SweepRunner",
     "SerialSweepRunner",
@@ -80,6 +83,7 @@ __all__ = [
     "make_runner",
     "run_trial_spec",
     "run_trial_outcome",
+    "run_chunk",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
@@ -89,6 +93,7 @@ __all__ = [
     "pair_specs",
     "replay_pair",
     "backoff_delay",
+    "RetryLedger",
     "write_sweep_metrics",
     "read_sweep_metrics",
     "aggregate_from_file",

@@ -4,13 +4,10 @@ A finished trial is a pure function of its :class:`TrialSpec` (victim
 program + config + scheme + secret + seed — all folded into
 ``spec.digest()``) and of the simulator build.  The cache keys
 memoized :class:`~repro.runner.spec.TrialOutcome`s on the SHA-256 of
-the spec digest and :func:`~repro.snapshot.schema.state_schema_hash`,
-so a re-run of the same sweep on the same build returns byte-identical
-results without simulating.  That hash covers only the captured state
-layout of the five memory components: a layout change turns every
-stale entry into a miss, but a change to simulator behaviour that
-keeps the layout does not move the key.  After such a change, use a
-fresh ``cache_dir``.
+the spec digest and :func:`build_fingerprint`, a hash of every source
+file of the :mod:`repro` package, so a re-run of the same sweep on the
+same build returns byte-identical results without simulating, and any
+source edit turns every older entry into a miss.
 
 Entries are JSON files (the checkpoint journal's codec, one outcome
 per file) sharded into 256 two-hex-character subdirectories.  Writes
@@ -39,6 +36,7 @@ Multi-reader hardening (the shared service tier builds on all four):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -63,18 +61,40 @@ _GC_EVERY = 256
 TMP_GRACE_SECONDS = 300.0
 
 
-def cache_key(spec: TrialSpec, schema_hash: Optional[str] = None) -> str:
-    """SHA-256 over the spec digest and the state-layout hash."""
-    if schema_hash is None:
-        from repro.snapshot.schema import state_schema_hash
+@functools.cache
+def build_fingerprint() -> str:
+    """Hex digest of this build: SHA-256 over the relative path, size
+    and bytes of every ``.py`` file of the :mod:`repro` package, in
+    sorted order.  Computed once per process: the sources do not change
+    under a running process."""
+    import repro
 
-        schema_hash = state_schema_hash()
-    payload = f"{spec.digest()}:{schema_hash}".encode()
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(filenames):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            digest.update(f"{rel}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()[:16]
+
+
+def cache_key(spec: TrialSpec, build: Optional[str] = None) -> str:
+    """SHA-256 over the spec digest and the build fingerprint."""
+    if build is None:
+        build = build_fingerprint()
+    payload = f"{spec.digest()}:{build}".encode()
     return hashlib.sha256(payload).hexdigest()
 
 
 class TrialCache:
-    """Digest-keyed, schema-versioned store of finished trial outcomes.
+    """Digest-keyed, build-versioned store of finished trial outcomes.
 
     ``durable=True`` makes publishes crash-safe (fsync before rename);
     ``max_bytes`` bounds the store, with least-recently-hit entries
@@ -125,11 +145,9 @@ class TrialCache:
         """The memoized outcome for ``spec``, or None (counted as hit
         or miss).  Undecodable entries are quarantined (renamed
         ``*.corrupt`` and re-executed — never served, never retried);
-        schema-stale or relocated entries read as plain misses."""
-        from repro.snapshot.schema import state_schema_hash
-
-        schema = state_schema_hash()
-        path = self._path(cache_key(spec, schema))
+        relocated entries read as plain misses."""
+        build = build_fingerprint()
+        path = self._path(cache_key(spec, build))
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -142,10 +160,10 @@ class TrialCache:
             self.misses += 1
             return None
         try:
-            # Belt and braces: the schema hash is already part of the
-            # key, but validating the recorded copy keeps a manually
-            # relocated or tampered entry from resurfacing.
-            if data["schema"] != schema or data["digest"] != spec.digest():
+            # Belt and braces: the build is already part of the key, but
+            # validating the recorded copy keeps a manually relocated or
+            # tampered entry from resurfacing.
+            if data["build"] != build or data["digest"] != spec.digest():
                 self.misses += 1
                 return None
             outcome = outcome_from_json(data["outcome"])
@@ -167,17 +185,15 @@ class TrialCache:
         stored.  I/O failure is best-effort: counted in
         ``stats()['put_errors']`` and logged once, never raised — a
         full disk degrades the cache, not the sweep."""
-        from repro.snapshot.schema import state_schema_hash
-
         if not outcome.ok:
             self.bypasses += 1
             return False
-        schema = state_schema_hash()
-        path = self._path(cache_key(spec, schema))
+        build = build_fingerprint()
+        path = self._path(cache_key(spec, build))
         payload = json.dumps(
             {
                 "v": JOURNAL_VERSION,
-                "schema": schema,
+                "build": build,
                 "digest": spec.digest(),
                 "outcome": outcome_to_json(outcome),
             },

@@ -29,6 +29,10 @@ Robustness properties:
   :meth:`record` returns.  Off by default: an fsync per trial costs
   real throughput (see the tradeoff note on :class:`TrialJournal`),
   and process-crash recovery — the common case — does not need it.
+* **Best-effort from sweeps** — the runners and service workers append
+  through :meth:`TrialJournal.try_record`: a failed append (full disk,
+  EIO) is counted and logged once, and only costs that trial a re-run
+  on resume.
 
 The framing lives in two helpers, :func:`append_record` and
 :func:`read_records`.  The service tier's logs use the same two
@@ -39,12 +43,15 @@ write and scan JSONL one way.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.memory.hierarchy import AccessKind, VisibleAccess
 from repro.runner import faults
 from repro.runner.spec import TrialOutcome, TrialStatus, TrialSummary
+
+logger = logging.getLogger(__name__)
 
 #: Journal format version, embedded in every record.
 JOURNAL_VERSION = 1
@@ -233,6 +240,8 @@ class TrialJournal:
     def __init__(self, path, *, fsync: bool = False) -> None:
         self.path = os.fspath(path)
         self.fsync = fsync
+        #: Appends :meth:`try_record` lost to an I/O error.
+        self.record_errors = 0
         # The index: every outcome decoded so far, the byte offset the
         # reads reached, and the (device, inode) of the file they read.
         self._records: Dict[str, TrialOutcome] = {}
@@ -253,6 +262,25 @@ class TrialJournal:
 
     def should_record(self, outcome: TrialOutcome) -> bool:
         return outcome.status in JOURNALED_STATUSES
+
+    def try_record(self, outcome: TrialOutcome) -> None:
+        """:meth:`record` a deterministic outcome, best-effort.  An I/O
+        failure (full disk, EIO) is counted in :attr:`record_errors` and
+        logged once per journal, never raised: the sweep keeps the
+        outcome, and a resume re-runs the trial the journal missed."""
+        if not self.should_record(outcome):
+            return
+        try:
+            self.record(outcome)
+        except OSError as exc:
+            self.record_errors += 1
+            if self.record_errors == 1:
+                logger.warning(
+                    "journal append to %s failed (suppressing further "
+                    "append-failure logs for this journal): %s",
+                    self.path,
+                    exc,
+                )
 
     # ------------------------------------------------------------------
     def load(self) -> Dict[str, TrialOutcome]:

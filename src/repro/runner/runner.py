@@ -20,18 +20,24 @@ Fault tolerance (``run``/``run_outcomes`` only):
   opt-in: ``runner.run(specs).raise_if_failed()``.
 * **Retry with backoff** — lost workers (crash, OOM-kill) and per-trial
   wall-clock deadline overruns are retried up to ``max_retries`` times
-  with a capped exponential backoff between rounds; the spec's CRC32
-  seed travels with it, so a retried trial is bit-identical to a
-  first-attempt run.
+  after a jittered capped exponential backoff; the spec's CRC32 seed
+  travels with it, so a retried trial is bit-identical to a
+  first-attempt run.  One :class:`RetryLedger` keeps the count, and
+  it charges only the spec whose own attempt failed; a spec out of
+  retries becomes one ``RetriesExhausted`` failure.  The service
+  supervisor keeps the same ledger.
 * **Checkpoint–resume** — pass a :class:`TrialJournal` and every
-  finished trial is recorded as it completes; a re-run over the same
-  specs skips journaled digests and merges their outcomes back in spec
-  order, making the resumed :class:`SweepResult` identical to an
-  uninterrupted one.
+  finished trial is recorded as it completes (best-effort: a failed
+  append costs a re-run on resume, never the outcome); a re-run over
+  the same specs skips journaled digests and merges their outcomes back
+  in spec order, making the resumed :class:`SweepResult` identical to
+  an uninterrupted one.
 
-The parallel runner submits *chunks* so small trials amortize IPC
-overhead, constructs every Machine/Core worker-side, and ships only
-picklable outcome objects back.
+:func:`run_chunk` is the one loop over (spec, attempt) pairs: the
+serial runner calls it in-process, pool workers and service workers
+call it on their chunk.  The parallel runner submits *chunks* so small
+trials amortize IPC overhead, constructs every Machine/Core
+worker-side, and ships only picklable outcome objects back.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import os
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.pipeline.core import DeadlockError
 from repro.runner import faults
@@ -65,7 +71,7 @@ RETRYABLE_STATUSES = frozenset({TrialStatus.TIMEOUT, TrialStatus.WORKER_LOST})
 #: Seconds the parallel runner sleeps between future polls.
 _POLL_INTERVAL = 0.05
 
-#: Grace added to every chunk deadline for pool spin-up and queueing.
+#: Grace added to every chunk deadline for pool spin-up.
 _SPINUP_GRACE = 1.0
 
 #: Base / cap for the capped exponential backoff between retry rounds.
@@ -94,6 +100,60 @@ def backoff_delay(round_no: int, *, rng: Optional[random.Random] = None) -> floa
     base = min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** (round_no - 1)))
     draw = (rng if rng is not None else _jitter_rng).random()
     return base * (0.5 + 0.5 * draw)
+
+
+class RetryLedger:
+    """The retry bookkeeping of the serial runner, the pool and the
+    service: per key (a spec's index in a sweep, or its digest in a
+    service job) the attempts charged so far, the jittered time before
+    which it must not run again, and the ``RetriesExhausted`` failure of
+    a key whose retries ran out.
+
+    An executor charges a key only when that spec's own attempt failed:
+    it died or timed out alone, or it was the spec a dead worker was
+    running.  Anything else a fault interrupted runs again uncharged.
+    """
+
+    def __init__(self, max_retries: int) -> None:
+        self.max_retries = max_retries
+        self.attempts: Dict[Hashable, int] = {}
+        self.not_before: Dict[Hashable, float] = {}
+        self.exhausted: Dict[Hashable, TrialOutcome] = {}
+
+    def attempt(self, key: Hashable) -> int:
+        """Attempts charged to ``key``: the 0-indexed attempt number its
+        next run carries (fault injection keys on it)."""
+        return self.attempts.get(key, 0)
+
+    def ready(self, key: Hashable, now: float) -> bool:
+        """May ``key`` run at ``now``: not exhausted, backoff elapsed."""
+        return key not in self.exhausted and self.not_before.get(key, 0.0) <= now
+
+    def charge(
+        self, key: Hashable, spec: TrialSpec, status: TrialStatus, now: float
+    ) -> Optional[TrialOutcome]:
+        """Charge one failed attempt (``status`` is ``worker-lost`` or
+        ``timeout``).  Returns None and holds the key back for
+        :func:`backoff_delay` while retries remain, else the structured
+        ``RetriesExhausted`` failure, with ``attempts == max_retries + 1``."""
+        attempts = self.attempts[key] = self.attempt(key) + 1
+        if attempts <= self.max_retries:
+            # Jittered: keys charged together do not all come back at once.
+            self.not_before[key] = now + backoff_delay(attempts)
+            return None
+        self.exhausted[key] = TrialOutcome(
+            digest=spec.digest(),
+            victim=spec.victim,
+            scheme=spec.scheme,
+            secret=spec.secret,
+            seed=spec.seed,
+            status=status,
+            attempts=attempts,
+            error_type="RetriesExhausted",
+            error_message=f"gave up after {attempts} attempt(s) ({status.value})",
+        )
+        return self.exhausted[key]
+
 
 #: Sentinel distinguishing "no plan argument" from "explicitly no plan".
 _PLAN_UNSET = object()
@@ -287,25 +347,6 @@ def _failure_outcome(
     )
 
 
-def retries_exhausted_outcome(
-    spec: TrialSpec, status: TrialStatus, attempts: int
-) -> TrialOutcome:
-    """The failure recorded for a spec whose retries ran out; ``status``
-    is the transient failure that used up its last attempt.  The
-    parallel runner and the service supervisor both report it."""
-    return TrialOutcome(
-        digest=spec.digest(),
-        victim=spec.victim,
-        scheme=spec.scheme,
-        secret=spec.secret,
-        seed=spec.seed,
-        status=status,
-        attempts=attempts,
-        error_type="RetriesExhausted",
-        error_message=f"gave up after {attempts} attempt(s) ({status.value})",
-    )
-
-
 #: Simulator types that must never appear in a worker-shipped summary —
 #: each would drag megabytes of state (or unpicklable closures) across
 #: the process boundary.
@@ -334,25 +375,42 @@ def _check_lean_transport(outcome: TrialOutcome) -> None:
             )
 
 
-def _run_chunk_outcomes(
-    tasks: List[Tuple[TrialSpec, int]],
-    journal_path: Optional[str],
-    plan_json: Optional[str],
-    journal_fsync: bool = False,
+def run_chunk(
+    tasks: Sequence[Tuple[TrialSpec, int]],
+    *,
+    journal: Optional[TrialJournal] = None,
+    cache=None,
+    plan=_PLAN_UNSET,
+    on_outcome: Optional[Callable[[TrialOutcome], None]] = None,
 ) -> List[TrialOutcome]:
-    """Pool-worker chunk body: run each (spec, attempt) with isolation,
-    journaling every deterministic outcome as it completes — so the
-    parent can recover a partially finished chunk if this worker dies."""
-    plan = faults.FaultPlan.from_json(plan_json) if plan_json else None
-    journal = (
-        TrialJournal(journal_path, fsync=journal_fsync) if journal_path else None
-    )
+    """Run each ``(spec, attempt)`` in order with fault isolation: the
+    chunk body of the serial runner, of pool workers and of service
+    workers.
+
+    Per spec: a :class:`~repro.runner.cache.TrialCache` probe when
+    ``cache`` is given (the service's shared cache; a hit is not
+    re-published), else :func:`run_trial_outcome` under ``plan`` and
+    the lean-transport check; then a best-effort journal append
+    (:meth:`TrialJournal.try_record`), so a dead worker's finished
+    trials survive it and a failed append costs only a re-run on
+    resume; then ``on_outcome`` (the service's stream delta and lease
+    heartbeat); then the cache publish of a fresh outcome.
+    """
     outcomes = []
     for spec, attempt in tasks:
-        outcome = run_trial_outcome(spec, attempt=attempt, plan=plan)
-        _check_lean_transport(outcome)
-        if journal is not None and journal.should_record(outcome):
-            journal.record(outcome)
+        outcome = cache.get(spec) if cache is not None else None
+        fresh = outcome is None
+        if fresh:
+            # Looked up as a module global on every call: perfbench's
+            # cold-trial counter and tests wrap it.
+            outcome = run_trial_outcome(spec, attempt=attempt, plan=plan)
+            _check_lean_transport(outcome)
+        if journal is not None:
+            journal.try_record(outcome)
+        if on_outcome is not None:
+            on_outcome(outcome)
+        if cache is not None and fresh:
+            cache.put(spec, outcome)  # best-effort by construction
         outcomes.append(outcome)
     return outcomes
 
@@ -444,8 +502,42 @@ class SweepRunner:
         *,
         journal: Optional[TrialJournal] = None,
     ) -> List[TrialOutcome]:
-        """Cold execution of ``specs`` (isolation + retry + journal)."""
-        raise NotImplementedError
+        """Cold execution of ``specs``: rounds of :meth:`_run_round`
+        until every spec has an outcome.  A ``worker-lost`` or
+        ``timeout`` outcome charges its spec in a :class:`RetryLedger`,
+        which holds it back for a jittered backoff and turns it into a
+        ``RetriesExhausted`` failure once ``max_retries`` retries are
+        spent."""
+        specs = list(specs)
+        outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
+        ledger = RetryLedger(self.max_retries)
+        while True:
+            todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
+            if not todo:
+                return outcomes  # type: ignore[return-value]
+            now = time.monotonic()
+            ready = [i for i in todo if ledger.ready(i, now)]
+            if not ready:
+                time.sleep(min(ledger.not_before[i] for i in todo) - now)
+                continue
+            for i, outcome in self._run_round(specs, ready, ledger, journal).items():
+                if outcome.status in RETRYABLE_STATUSES:
+                    outcome = ledger.charge(i, specs[i], outcome.status, time.monotonic())
+                outcomes[i] = outcome
+
+    def _run_round(
+        self,
+        specs: List[TrialSpec],
+        indices: List[int],
+        ledger: RetryLedger,
+        journal: Optional[TrialJournal],
+    ) -> Dict[int, TrialOutcome]:
+        """Run ``specs[i]`` for each of ``indices`` once, at its ledger
+        attempt; returns their outcomes by index.  This one runs them
+        in this process, where an injected worker kill is a
+        ``worker-lost`` outcome rather than a dead process."""
+        tasks = [(specs[i], ledger.attempt(i)) for i in indices]
+        return dict(zip(indices, run_chunk(tasks, journal=journal), strict=True))
 
     def run_outcomes(
         self,
@@ -457,8 +549,8 @@ class SweepRunner:
         the runner's cold execution:
 
         1. **cache pre-check** — specs whose content digest (plus the
-           snapshot state-schema hash) is already in ``cache_dir``
-           return their memoized outcome without simulating;
+           build fingerprint) is already in ``cache_dir`` return their
+           memoized outcome without simulating;
         2. **journal merge** — checkpointed outcomes are reused;
         3. **batch groups** — with ``batch=True``, remaining specs that
            differ only in secret/seed/reference schedule step as
@@ -581,8 +673,8 @@ class SweepRunner:
             counts["ejected"] = counts.get("ejected", 0) + ejected
             for i, outcome in zip(group, group_outcomes, strict=True):
                 outcomes[i] = outcome
-                if journal is not None and journal.should_record(outcome):
-                    journal.record(outcome)
+                if journal is not None:
+                    journal.try_record(outcome)
         return counts
 
     def run(
@@ -650,35 +742,14 @@ def _merge_journal(
                 outcomes[i] = hit
 
 
-def _run_serial_outcomes(
-    specs: Sequence[TrialSpec],
-    journal: Optional[TrialJournal],
-    max_retries: int,
-) -> List[TrialOutcome]:
-    """Shared in-process execution loop: isolation + retry + journal."""
-    outcomes: List[TrialOutcome] = []
-    for spec in specs:
-        attempt = 0
-        while True:
-            outcome = run_trial_outcome(spec, attempt=attempt)
-            if outcome.status not in RETRYABLE_STATUSES or attempt >= max_retries:
-                break
-            attempt += 1
-            time.sleep(backoff_delay(attempt))
-        if journal is not None and journal.should_record(outcome):
-            journal.record(outcome)
-        outcomes.append(outcome)
-    return outcomes
-
-
 class SerialSweepRunner(SweepRunner):
     """In-process reference runner (identical interface, zero fan-out).
 
     Fault isolation, retry and checkpoint–resume behave exactly as in
     the parallel runner, with two inherent differences: an injected
-    worker kill surfaces as a retryable ``worker-lost`` outcome instead
-    of killing the process, and wall-clock deadlines are not enforced
-    (there is no worker to replace)."""
+    worker kill surfaces as a ``worker-lost`` outcome, charged to its
+    spec, instead of killing the process, and wall-clock deadlines are
+    not enforced (there is no worker to replace)."""
 
     workers = 1
 
@@ -698,14 +769,6 @@ class SerialSweepRunner(SweepRunner):
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         return [fn(item) for item in items]
 
-    def _execute_outcomes(
-        self,
-        specs: Sequence[TrialSpec],
-        *,
-        journal: Optional[TrialJournal] = None,
-    ) -> List[TrialOutcome]:
-        return _run_serial_outcomes(list(specs), journal, self.max_retries)
-
 
 class ParallelSweepRunner(SweepRunner):
     """Chunked fan-out over a ``ProcessPoolExecutor``.
@@ -717,14 +780,15 @@ class ParallelSweepRunner(SweepRunner):
     ``trial_timeout`` (seconds) arms a wall-clock deadline per submitted
     chunk (``timeout * chunk_len`` plus grace).  A chunk that blows its
     deadline gets its workers replaced — stuck pool workers cannot be
-    cancelled individually, so the pool is torn down and rebuilt — and
-    its unfinished specs resubmitted, at most ``max_retries`` times
-    each; in-flight chunks that die as collateral are resubmitted
-    without burning one of their retries.  Worker loss (a crashed or
-    OOM-killed worker breaks the whole pool) takes the same
-    replace-and-resubmit path.  With a journal attached, workers record
-    each finished trial immediately, so the retry round skips everything
-    the lost chunk already completed.
+    cancelled individually, so the pool is torn down and rebuilt.
+    Worker loss (a crashed or OOM-killed worker breaks the whole pool)
+    takes the same replace-and-resubmit path.  At most ``workers``
+    chunks are in flight, so a fault interrupts only running chunks: a
+    single unfinished spec is charged one of its ``max_retries``;
+    several are charged nothing and re-run one at a time, alone in the
+    pool, where the spec at fault is charged by itself.  With a
+    journal attached, workers record each finished trial immediately,
+    so nothing a lost chunk already completed runs again.
     """
 
     def __init__(
@@ -781,152 +845,135 @@ class ParallelSweepRunner(SweepRunner):
     # ------------------------------------------------------------------
     # fault-tolerant sweep execution
     # ------------------------------------------------------------------
-    def _execute_outcomes(
-        self,
-        specs: Sequence[TrialSpec],
-        *,
-        journal: Optional[TrialJournal] = None,
-    ) -> List[TrialOutcome]:
-        specs = list(specs)
-        if self.workers == 1:
-            return _run_serial_outcomes(specs, journal, self.max_retries)
-        outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
-        attempts = [0] * len(specs)
-        # Status to report for a spec whose retries run out.
-        exhausted_status = [TrialStatus.WORKER_LOST] * len(specs)
-        round_no = 0
-        while True:
-            todo = []
-            for i in range(len(specs)):
-                if outcomes[i] is not None:
-                    continue
-                if attempts[i] > self.max_retries:
-                    outcomes[i] = retries_exhausted_outcome(
-                        specs[i], exhausted_status[i], attempts[i]
-                    )
-                    continue
-                todo.append(i)
-            if not todo:
-                break
-            if round_no > 0:
-                # Jittered capped exponential backoff between retry
-                # rounds: give a transiently sick host (OOM pressure,
-                # CPU squeeze) room to recover, without resubmitting
-                # every reclaimed chunk in lockstep.
-                time.sleep(backoff_delay(round_no))
-            completed, lost, collateral = self._run_round(
-                specs, todo, attempts, journal
-            )
-            for i, outcome in completed.items():
-                outcomes[i] = outcome
-            for i, status in lost:
-                attempts[i] += 1
-                exhausted_status[i] = status
-            # Collateral of another chunk's fault is resubmitted without
-            # burning one of its own retries.
-            if lost or collateral:
-                round_no += 1
-                # Whatever the lost chunks had already journaled can be
-                # merged instead of re-run.
-                _merge_journal(specs, outcomes, journal)
-        return outcomes  # type: ignore[return-value]
-
     def _run_round(
         self,
         specs: List[TrialSpec],
         indices: List[int],
-        attempts: List[int],
+        ledger: RetryLedger,
         journal: Optional[TrialJournal],
-    ) -> Tuple[
-        Dict[int, TrialOutcome],
-        List[Tuple[int, TrialStatus]],
-        List[int],
-    ]:
-        """Submit one round of chunks and harvest until done or the pool
-        fails.  Returns ``(completed, lost, collateral)``: ``lost`` pairs
-        a spec index with the failure status that charges one of its
-        retries; ``collateral`` indices resubmit free of charge."""
-        pool = self._ensure_pool()
-        plan = faults.current_plan()
-        plan_json = plan.to_json() if plan is not None else None
-        journal_path = journal.path if journal is not None else None
-        csize = self._chunk(len(indices))
-        futures: Dict = {}
-        for start in range(0, len(indices), csize):
-            chunk = indices[start : start + csize]
-            tasks = [(specs[i], attempts[i]) for i in chunk]
-            # The deadline clock starts at submit, so it must absorb
-            # worker spin-up and time spent queued behind other chunks
-            # — set trial_timeout with that headroom in mind.
-            deadline = (
-                time.monotonic()
-                + self.trial_timeout * len(chunk)
-                + _SPINUP_GRACE
-                if self.trial_timeout is not None
-                else None
-            )
-            fut = pool.submit(
-                _run_chunk_outcomes,
-                tasks,
-                journal_path,
-                plan_json,
-                journal.fsync if journal is not None else False,
-            )
-            futures[fut] = (chunk, deadline)
+    ) -> Dict[int, TrialOutcome]:
+        """One round over the pool.  Fresh specs run in chunks, at most
+        ``workers`` in flight.  Retried specs, and the specs a fault
+        left unfinished without pinning it on one of them, then run one
+        at a time, alone in the pool, so a fault they cause is their
+        own."""
+        if self.workers == 1:
+            return super()._run_round(specs, indices, ledger, journal)
+        results: Dict[int, TrialOutcome] = {}
+        fresh = [i for i in indices if not ledger.attempt(i)]
+        size = self._chunk(len(fresh))
+        chunks = [fresh[start : start + size] for start in range(0, len(fresh), size)]
+        alone = [i for i in indices if ledger.attempt(i)]
+        alone += self._drain(specs, chunks, self.workers, ledger, journal, results)
+        for i in alone:
+            self._drain(specs, [[i]], 1, ledger, journal, results)
+        return results
 
-        completed: Dict[int, TrialOutcome] = {}
-        lost: List[Tuple[int, TrialStatus]] = []
-        collateral: List[int] = []
-        while futures:
-            done, _ = wait(
-                list(futures), timeout=_POLL_INTERVAL, return_when=FIRST_COMPLETED
-            )
-            broken = False
-            for fut in done:
-                chunk, _ = futures.pop(fut)
+    def _drain(
+        self,
+        specs: List[TrialSpec],
+        chunks: List[List[int]],
+        limit: int,
+        ledger: RetryLedger,
+        journal: Optional[TrialJournal],
+        results: Dict[int, TrialOutcome],
+    ) -> List[int]:
+        """Run ``chunks`` of spec indices through :func:`run_chunk` in
+        the pool, at most ``limit`` in flight, so every chunk unfinished
+        at a fault was running; outcomes go into ``results``.
+
+        A dead worker breaks the pool and every chunk in flight with it.
+        A chunk past its deadline (``trial_timeout`` per spec plus grace,
+        from submit) has stuck workers, which cannot be cancelled one by
+        one; the innocent chunks in flight go back on the queue.  Either
+        way the pool is rebuilt, and the interrupted specs the journal
+        does not hold are weighed: a single one is charged (its outcome
+        is ``worker-lost`` or ``timeout``); several are returned,
+        uncharged, for the caller to re-run alone."""
+        plan = faults.current_plan()
+        # Workers append through a fresh journal: no index to pickle.
+        shipped = (
+            TrialJournal(journal.path, fsync=journal.fsync)
+            if journal is not None
+            else None
+        )
+        chunks = list(chunks)
+        running: Dict = {}  # future -> (chunk, deadline)
+        suspects: List[int] = []
+        while chunks or running:
+            while chunks and len(running) < limit:
+                chunk = chunks.pop(0)
+                tasks = [(specs[i], ledger.attempt(i)) for i in chunk]
                 try:
-                    for i, outcome in zip(chunk, fut.result(), strict=False):
-                        completed[i] = outcome
+                    future = self._ensure_pool().submit(
+                        run_chunk, tasks, journal=shipped, plan=plan
+                    )
                 except BrokenExecutor:
-                    # A worker died (crash, OOM-kill, injected kill):
-                    # the executor is broken and every in-flight chunk
-                    # with it.  We cannot attribute the death to one
-                    # spec, so the whole chunk retries.
-                    lost.extend((i, TrialStatus.WORKER_LOST) for i in chunk)
-                    broken = True
+                    # A worker died between chunks: rebuild the pool once
+                    # nothing is in flight.
+                    chunks.insert(0, chunk)
+                    if not running:
+                        self._reset_pool()
+                    break
+                deadline = (
+                    time.monotonic() + self.trial_timeout * len(chunk) + _SPINUP_GRACE
+                    if self.trial_timeout is not None
+                    else None
+                )
+                running[future] = (chunk, deadline)
+            if not running:
+                continue
+            done, _ = wait(
+                list(running), timeout=_POLL_INTERVAL, return_when=FIRST_COMPLETED
+            )
+            broken = []
+            for future in done:
+                chunk, _ = running.pop(future)
+                try:
+                    results.update(zip(chunk, future.result(), strict=True))
+                except BrokenExecutor:
+                    broken.append(chunk)
                 except Exception as exc:
                     # The chunk body itself failed (e.g. an unpicklable
                     # result): isolate as structured errors, no retry.
                     for i in chunk:
-                        completed[i] = _failure_outcome(
-                            specs[i], TrialStatus.ERROR, exc, attempts[i]
+                        results[i] = _failure_outcome(
+                            specs[i], TrialStatus.ERROR, exc, ledger.attempt(i)
                         )
+            now = time.monotonic()
+            expired = [
+                future
+                for future, (_, deadline) in running.items()
+                if deadline is not None and now >= deadline
+            ]
             if broken:
-                for chunk, _ in futures.values():
-                    collateral.extend(chunk)
-                futures.clear()
-                self._reset_pool()
-                break
-            if futures and self.trial_timeout is not None:
-                now = time.monotonic()
-                expired = [
-                    fut
-                    for fut, (_, deadline) in futures.items()
-                    if deadline is not None and now >= deadline
-                ]
-                if expired:
-                    # Stuck workers cannot be cancelled individually;
-                    # replace the pool.  Expired chunks burn a retry,
-                    # the innocent in-flight rest is pure collateral.
-                    for fut in expired:
-                        chunk, _ = futures.pop(fut)
-                        lost.extend((i, TrialStatus.TIMEOUT) for i in chunk)
-                    for chunk, _ in futures.values():
-                        collateral.extend(chunk)
-                    futures.clear()
-                    self._reset_pool()
-                    break
-        return completed, lost, collateral
+                # Any chunk in flight may hold the spec that killed its
+                # worker.
+                status = TrialStatus.WORKER_LOST
+                hit = broken + [chunk for chunk, _ in running.values()]
+            elif expired:
+                status = TrialStatus.TIMEOUT
+                hit = [running.pop(future)[0] for future in expired]
+                chunks[:0] = [chunk for chunk, _ in running.values()]
+            else:
+                continue
+            running.clear()
+            self._reset_pool()
+            records = journal.load() if journal is not None else {}
+            left = []
+            for i in (i for chunk in hit for i in chunk):
+                record = records.get(specs[i].digest())
+                if record is not None:
+                    results[i] = record
+                else:
+                    left.append(i)
+            if len(left) == 1:
+                results[left[0]] = _failure_outcome(
+                    specs[left[0]], status, None, ledger.attempt(left[0])
+                )
+            else:
+                suspects += left
+        return suspects
 
     def close(self) -> None:
         if self._pool is not None:

@@ -19,10 +19,11 @@ differential asserts the result is invariant under any interleaving
 the schedule can produce, not that one particular interleaving
 reproduces.
 
-Retry budget caveat: every reclaimed chunk charges its unjournaled
-digests one attempt, so a schedule must not exceed the supervisor's
-``max_retries`` for any single digest or the run legitimately reports
-``worker-lost`` failures and the differential (correctly) fails.
+Retry budget caveat: every reclaimed chunk charges its first
+unjournaled digest one attempt, so a schedule must not exceed the
+supervisor's ``max_retries`` for any single digest or the run
+legitimately reports ``worker-lost`` failures and the differential
+(correctly) fails.
 :attr:`DEFAULT_MAX_RETRIES` is sized for the schedules
 :meth:`ChaosSchedule.generate` emits.
 """

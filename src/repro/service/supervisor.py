@@ -10,8 +10,11 @@ fault the same way:
 
 * **worker SIGKILL / crash** — the process dies without releasing its
   lease; the supervisor reclaims it and resubmits the chunk's
-  *unjournaled* digests with a jittered backoff
-  (:func:`repro.runner.runner.backoff_delay`), charging one attempt.
+  *unjournaled* digests.  A worker runs and journals its specs in
+  order, so only the first unjournaled one was running: the job's
+  :class:`~repro.runner.runner.RetryLedger` charges it one attempt and
+  holds it back for a jittered backoff, and the rest go back
+  uncharged.
 * **hung trial** — the worker stops heartbeating (heartbeats happen
   between trials); the lease expires, the worker is killed, same path.
 * **supervisor crash** — a fresh supervisor on the same directory
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.runner.journal import TrialJournal
-from repro.runner.runner import backoff_delay, retries_exhausted_outcome
+from repro.runner.runner import RetryLedger
 from repro.runner.spec import SweepResult, TrialOutcome, TrialSpec, TrialStatus
 from repro.service import stream, wal
 from repro.service.codec import spec_to_json, sweep_result_to_json
@@ -60,12 +63,8 @@ class _ActiveJob:
     digests: List[str]
     #: the job's trial journal, which its workers append to.
     journal: TrialJournal
-    #: digest -> executions charged so far (0 = not yet attempted).
-    attempts: Dict[str, int] = field(default_factory=dict)
-    #: digest -> wall-clock time before which it must not respawn.
-    not_before: Dict[str, float] = field(default_factory=dict)
-    #: digest -> fabricated failure outcome after retry exhaustion.
-    exhausted: Dict[str, TrialOutcome] = field(default_factory=dict)
+    #: attempts charged, backoff and exhausted failures, by digest.
+    ledger: RetryLedger
     #: digest -> journaled outcome (incrementally polled).
     seen: Dict[str, TrialOutcome] = field(default_factory=dict)
     #: digests currently assigned to a live chunk of *this* supervisor.
@@ -87,9 +86,10 @@ class SweepSupervisor:
     ``workers`` bounds concurrent chunk processes; ``chunksize`` the
     trials per lease (smaller = finer recovery granularity, more
     process spin-up).  ``max_retries`` charges per *digest*: a spec
-    that was in a reclaimed chunk ``max_retries + 1`` times is reported
-    as a structured ``worker-lost`` failure rather than retried
-    forever.  ``clock`` is injectable for tests.
+    that was the running spec of a dead chunk ``max_retries + 1`` times
+    is reported as a structured ``worker-lost`` ``RetriesExhausted``
+    failure rather than retried forever.  ``clock`` is injectable for
+    tests.
     """
 
     def __init__(
@@ -156,10 +156,9 @@ class SweepSupervisor:
             specs=specs,
             digests=[spec.digest() for spec in specs],
             journal=TrialJournal(self.queue.trial_journal_path(view.job_id)),
+            ledger=RetryLedger(self.max_retries),
             started=self.clock(),
         )
-        for digest in job.digests:
-            job.attempts.setdefault(digest, 0)
         self._active[view.job_id] = job
         self._poll_journal(job)
 
@@ -277,28 +276,22 @@ class SweepSupervisor:
 
     def _return_chunk(self, chunk: _RunningChunk) -> None:
         """Put a finished/reclaimed chunk's unjournaled digests back in
-        the pending pool (or exhaust them)."""
+        the pending pool.  The worker ran and journaled them in order,
+        so only the first was running when it died (or lost its journal
+        append): that one is charged, the rest never started."""
         job = self._active.get(chunk.job_id)
         if job is None:
             return
-        now = self.clock()
         for digest in chunk.digests:
             job.in_flight.pop(digest, None)
-            if digest in job.seen or digest in job.exhausted:
-                continue
-            job.attempts[digest] += 1
-            if job.attempts[digest] > self.max_retries:
-                spec = job.specs[job.digests.index(digest)]
-                job.exhausted[digest] = retries_exhausted_outcome(
-                    spec, TrialStatus.WORKER_LOST, job.attempts[digest]
-                )
-            else:
-                # Jittered backoff decorrelates the resubmission wave
-                # after a mass reclaim (e.g. a lost host's leases all
-                # expiring in the same poll).
-                job.not_before[digest] = now + backoff_delay(
-                    job.attempts[digest]
-                )
+        lost = next((d for d in chunk.digests if d not in job.seen), None)
+        if lost is not None:
+            job.ledger.charge(
+                lost,
+                job.specs[job.digests.index(lost)],
+                TrialStatus.WORKER_LOST,
+                self.clock(),
+            )
 
     # -- cancellation --------------------------------------------------
     def _apply_cancellations(self) -> None:
@@ -329,14 +322,10 @@ class SweepSupervisor:
             # wait until the job's chunks are reaped, so ``job-done``
             # is the last record of the stream.
             return
-        if any(
-            d not in job.seen and d not in job.exhausted
-            for d in job.digests
-        ):
+        exhausted = job.ledger.exhausted
+        if any(d not in job.seen and d not in exhausted for d in job.digests):
             return
-        outcomes = [
-            job.seen.get(d) or job.exhausted[d] for d in job.digests
-        ]
+        outcomes = [job.seen.get(d) or exhausted[d] for d in job.digests]
         result = SweepResult(
             summaries=[
                 o.summary for o in outcomes if o.ok and o.summary is not None
@@ -405,9 +394,8 @@ class SweepSupervisor:
                 d
                 for d in job.digests
                 if d not in job.seen
-                and d not in job.exhausted
                 and d not in job.in_flight
-                and job.not_before.get(d, 0.0) <= now
+                and job.ledger.ready(d, now)
             ]
             while ready and len(self._running) < self.workers:
                 chunk_digests = ready[: self.chunksize]
@@ -423,7 +411,7 @@ class SweepSupervisor:
         worker_id = f"svc-{os.getpid()}-{self._lease_seq}"
         index = {d: i for i, d in enumerate(job.digests)}
         specs = [job.specs[index[d]] for d in digests]
-        attempts = [job.attempts[d] for d in digests]
+        attempts = [job.ledger.attempt(d) for d in digests]
         self.leases.grant(lease_id, worker_id)
         process = self._mp.Process(
             target=chunk_worker_main,

@@ -1,13 +1,17 @@
 """Chunk worker: the per-process execution body the supervisor spawns.
 
-A worker owns one leased chunk of one job.  For each spec it first
-consults the shared :class:`~repro.runner.cache.TrialCache` (durable
-publishes: the cache is multi-reader, so a torn write from a killed
-sibling must never be served — the hardened cache quarantines it),
-then executes, journals the deterministic outcome (``fsync`` so an
-acknowledged trial survives the host, not just the process), streams
-the delta, and heartbeats its lease.
+A worker owns one leased chunk of one job and runs it through
+:func:`~repro.runner.runner.run_chunk`, the same loop as the sweep
+runners.  For each spec it first consults the shared
+:class:`~repro.runner.cache.TrialCache` (durable publishes: the cache
+is multi-reader, so a torn write from a killed sibling must never be
+served — the hardened cache quarantines it), then executes, journals
+the deterministic outcome best-effort (``fsync`` so an acknowledged
+trial survives the host, not just the process), streams the delta,
+heartbeats its lease, and publishes a fresh outcome to the cache.
 
+Specs run and journal in order, so when a worker dies the supervisor
+knows which spec was running: the first one its journal lacks.
 Everything a worker writes is crash-safe by construction: the journal
 and stream are append-only with torn-line-tolerant replay, and cache
 publishes are atomic.  SIGKILL at *any* byte therefore loses at most
@@ -23,11 +27,12 @@ timestamps rather than trusting them.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.runner.cache import TrialCache
 from repro.runner.journal import TrialJournal
-from repro.runner.runner import _check_lean_transport, run_trial_outcome
+from repro.runner.runner import run_chunk
+from repro.runner.spec import TrialOutcome
 from repro.service import stream
 from repro.service.codec import spec_from_json
 from repro.service.lease import LeaseTable
@@ -81,33 +86,19 @@ def chunk_worker_main(
         TrialCache(cache_dir, durable=True) if cache_dir is not None else None
     )
     pid = os.getpid()
-    leases.heartbeat(lease_id, worker_id, pid=pid)
-    for spec, attempt in zip(specs, attempts, strict=False):
-        outcome = cache.get(spec) if cache is not None else None
-        fresh = outcome is None
-        if outcome is None:
-            outcome = run_trial_outcome(spec, attempt=attempt)
-            _check_lean_transport(outcome)
-        try:
-            if journal.should_record(outcome):
-                journal.record(outcome)
-        except OSError:
-            # Journal I/O failure (disk full, EIO): the outcome is not
-            # persisted — the supervisor will see the gap at chunk end
-            # and resubmit just this spec.  Keep going; later appends
-            # may succeed (transient) or fail the same way (bounded by
-            # the retry budget either way).
-            pass
+
+    def on_outcome(outcome: TrialOutcome) -> None:
         try:
             stream.append_outcome(stream_path, outcome)
         except OSError:
             pass  # a lost delta degrades the live view, never the result
-        if cache is not None and fresh:
-            cache.put(spec, outcome)  # best-effort by construction
         leases.heartbeat(lease_id, worker_id, pid=pid)
+
+    leases.heartbeat(lease_id, worker_id, pid=pid)
+    run_chunk(
+        list(zip(specs, attempts, strict=True)),
+        journal=journal,
+        cache=cache,
+        on_outcome=on_outcome,
+    )
     leases.release(lease_id, worker_id)
-
-
-def decode_chunk(spec_payloads: Sequence[Dict[str, Any]]) -> List[Any]:
-    """Decode a chunk's spec payloads (exposed for tests)."""
-    return [spec_from_json(payload) for payload in spec_payloads]

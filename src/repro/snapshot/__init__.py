@@ -1,12 +1,9 @@
-"""Trial snapshot handles, the state-layout hash, and relabel groups.
+"""Trial snapshot handles and relabel groups.
 
 * :mod:`repro.snapshot.handle` — a snapshot handle is a replay recipe:
   a small JSON file naming a finished trial's spec by digest and
   fingerprinting its final state.  :func:`rehydrate_trial` replays the
   spec and checks the fingerprint, for post-hoc state inspection.
-* :mod:`repro.snapshot.schema` — the hash over the captured layouts of
-  the five memory components, which the trial cache keys on and
-  handles record.
 
 :mod:`repro.snapshot.fork` is the sweep runner's ``fork=True`` layer
 and needs no snapshot at all: it groups specs that differ only in an
@@ -21,11 +18,8 @@ from repro.snapshot.handle import (
     rehydrate_trial,
     save_trial_snapshot,
 )
-from repro.snapshot.schema import schema_components, state_schema_hash
 
 __all__ = [
-    "state_schema_hash",
-    "schema_components",
     "plan_fork_groups",
     "run_fork_group",
     "group_key",

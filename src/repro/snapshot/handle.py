@@ -2,11 +2,11 @@
 
 A trial is a pure function of its :class:`~repro.runner.spec.TrialSpec`,
 so a handle stores no machine state.  It is a small JSON file,
-``<digest>.snap``, holding the handle version, the
-:func:`~repro.snapshot.schema.state_schema_hash` of the build that
-wrote it, the spec digest, and a fingerprint of the trial's final
-state: the machine cycle; each core's halted flag, retired count and
-registers; and a hash of the memory hierarchy's capture.
+``<digest>.snap``, holding the handle version, the spec digest, and a
+fingerprint of the trial's final state: the machine cycle; each core's
+halted flag, retired count and registers; and a hash of the memory
+hierarchy's capture.  The handle does not name the build that wrote
+it: the replay check refuses any handle this build cannot reproduce.
 
 Sweeps ship the handle's *path* in the summary (lean transport).
 :func:`rehydrate_trial` replays the spec through the cold path's own
@@ -27,9 +27,9 @@ HANDLE_VERSION = 2
 
 
 class SnapshotSchemaError(RuntimeError):
-    """The handle cannot be replayed by this build: it was written with
-    another state layout, is unreadable or of an old format, names
-    another spec, or its replay does not reach the recorded state."""
+    """The handle cannot be replayed by this build: it is unreadable or
+    of an old format, names another spec, or its replay does not reach
+    the recorded state."""
 
 
 def state_fingerprint(machine) -> Dict[str, Any]:
@@ -54,12 +54,9 @@ def save_trial_snapshot(machine, spec, snapshot_dir: str) -> str:
     """Write the handle of a finished trial under its spec digest
     (atomically); returns the handle path, which
     :attr:`TrialSummary.snapshot_path` carries."""
-    from repro.snapshot.schema import state_schema_hash
-
     digest = spec.digest()
     handle = {
         "version": HANDLE_VERSION,
-        "schema": state_schema_hash(),
         "digest": digest,
         "fingerprint": state_fingerprint(machine),
     }
@@ -84,11 +81,8 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     """Read a handle and return it as a dict.
 
     Raises :class:`SnapshotSchemaError` when the file is not a handle of
-    this format (a version-1 pickle, say) or was written by a build
-    with a different state layout.
+    this format (a version-1 pickle, say).
     """
-    from repro.snapshot.schema import state_schema_hash
-
     try:
         with open(path, encoding="utf-8") as fh:
             handle = json.load(fh)
@@ -97,12 +91,6 @@ def load_snapshot(path: str) -> Dict[str, Any]:
     if not isinstance(handle, dict) or handle.get("version") != HANDLE_VERSION:
         raise SnapshotSchemaError(
             f"snapshot {path} is not a version-{HANDLE_VERSION} handle"
-        )
-    if handle.get("schema") != state_schema_hash():
-        raise SnapshotSchemaError(
-            f"snapshot {path} was written with state schema "
-            f"{handle.get('schema')!r}; this build is "
-            f"{state_schema_hash()!r}"
         )
     return handle
 

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-import repro.snapshot.schema as snapshot_schema
+import repro.runner.cache as runner_cache
 from repro.runner import (
     SerialSweepRunner,
     TrialCache,
@@ -78,15 +78,15 @@ def test_cache_hit_skips_simulation(tmp_path, monkeypatch):
 
 
 def test_schema_hash_invalidates_entries(tmp_path, monkeypatch):
-    """Changing the snapshot state-schema hash (i.e. any change to a
-    component's captured layout) orphans every existing entry."""
+    """Changing the build fingerprint (i.e. any edit to a source file
+    of the package) orphans every existing entry."""
     spec = _specs()[0]
     cache = TrialCache(tmp_path)
     SerialSweepRunner(cache_dir=tmp_path).run_outcomes([spec])
     assert cache.get(spec) is not None
 
     monkeypatch.setattr(
-        snapshot_schema, "state_schema_hash", lambda: "deadbeefdeadbeef"
+        runner_cache, "build_fingerprint", lambda: "deadbeefdeadbeef"
     )
     stale = TrialCache(tmp_path)
     assert stale.get(spec) is None

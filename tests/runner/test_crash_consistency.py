@@ -186,14 +186,14 @@ def test_structurally_corrupt_entry_quarantined(tmp_path):
         for root, _, files in os.walk(cache_dir)
         for name in files
     ]
-    from repro.snapshot.schema import state_schema_hash
+    from repro.runner.cache import build_fingerprint
 
     with open(entry, "w") as fh:
-        # Right schema and digest (so neither freshness check rejects
+        # Right build and digest (so neither freshness check rejects
         # it as a plain miss), but a garbage outcome payload.
         json.dump(
             {
-                "schema": state_schema_hash(),
+                "build": build_fingerprint(),
                 "digest": spec.digest(),
                 "outcome": 3,
             },

@@ -204,6 +204,70 @@ def test_kill_retries_exhaust_into_structured_failure(reference):
             assert summary in list(result)
 
 
+ALWAYS_KILL = FaultSpec(
+    "worker-kill", victim="gdmshr", scheme="fence-spectre", secret=0, max_attempts=99
+)
+
+
+def _only_the_killed_trial_failed(result, reference, max_retries):
+    """One ``worker-lost`` RetriesExhausted failure for ALWAYS_KILL's
+    trial, after ``max_retries + 1`` charged attempts; every other
+    trial ok and equal to the fault-free reference."""
+    (failure,) = result.failures
+    assert (failure.victim, failure.scheme, failure.secret) == (
+        ALWAYS_KILL.victim,
+        ALWAYS_KILL.scheme,
+        ALWAYS_KILL.secret,
+    )
+    assert failure.status is TrialStatus.WORKER_LOST
+    assert failure.error_type == "RetriesExhausted"
+    assert failure.attempts == max_retries + 1
+    assert result.succeeded() == _without(list(reference), ALWAYS_KILL)
+
+
+def test_pool_break_charges_only_the_killing_trial(reference):
+    """A pool break interrupts every chunk in flight; only the trial
+    that kills its worker may be charged, so no innocent trial runs
+    out of retries, however the chunks interleave."""
+    faults.install_plan(FaultPlan((ALWAYS_KILL,)))
+    for _ in range(3):
+        with ParallelSweepRunner(2, chunksize=1, max_retries=1) as runner:
+            result = runner.run(grid())
+        _only_the_killed_trial_failed(result, reference, max_retries=1)
+
+
+def test_serial_kill_exhausts_into_retries_exhausted(reference):
+    """The serial runner reports an exhausted kill exactly as the pool
+    and the service do."""
+    faults.install_plan(FaultPlan((ALWAYS_KILL,)))
+    result = SerialSweepRunner(max_retries=1).run(grid())
+    _only_the_killed_trial_failed(result, reference, max_retries=1)
+
+
+@pytest.mark.parametrize(
+    "make", [SerialSweepRunner, lambda: ParallelSweepRunner(2, chunksize=2)]
+)
+def test_failed_journal_append_keeps_every_outcome(make, tmp_path, reference):
+    """A journal append that fails (here: the first one per process,
+    with ENOSPC) costs the journal that record, never the outcome; a
+    resume re-runs just the unrecorded trials."""
+    journal = TrialJournal(tmp_path / "sweep.jsonl")
+    faults.install_fs_plan(
+        faults.FSFaultPlan(
+            (faults.FSFaultSpec(faults.FS_ENOSPC, op=faults.OP_JOURNAL_APPEND),)
+        )
+    )
+    try:
+        with make() as runner:
+            outcomes = runner.run_outcomes(grid(), journal=journal)
+    finally:
+        faults.clear_fs_plan()
+    assert outcomes == reference.outcomes
+    assert 0 < len(journal) < len(grid())
+    assert SerialSweepRunner().run_outcomes(grid(), journal=journal) == outcomes
+    assert len(journal) == len(grid())
+
+
 def test_stalled_trial_times_out_parallel(reference):
     stall = FaultSpec(
         "stall",

@@ -7,7 +7,7 @@ import pytest
 
 from repro.runner import SerialSweepRunner, TrialSpec, run_trial_outcome
 from repro.runner.runner import _check_lean_transport
-from repro.snapshot import SnapshotSchemaError, load_snapshot, rehydrate_trial
+from repro.snapshot import rehydrate_trial
 
 #: Per-outcome pickle budget.  A summary is a handful of ints, a short
 #: visible-access trace, and (optionally) aggregated metric dicts — if
@@ -75,17 +75,4 @@ def test_snapshot_handle_flow(tmp_path):
     assert setup.machine.cycle == summary.cycles
     assert setup.core.halted
     assert setup.core.stats.retired == summary.retired
-
-
-def test_snapshot_schema_mismatch_refuses_restore(tmp_path, monkeypatch):
-    spec, outcome = _outcome(snapshot_dir=str(tmp_path))
-    import repro.snapshot.schema as snapshot_schema
-
-    monkeypatch.setattr(
-        snapshot_schema, "state_schema_hash", lambda: "0123456789abcdef"
-    )
-    with pytest.raises(SnapshotSchemaError):
-        load_snapshot(outcome.summary.snapshot_path)
-    with pytest.raises(SnapshotSchemaError):
-        rehydrate_trial(spec, outcome.summary.snapshot_path)
 

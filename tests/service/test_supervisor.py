@@ -105,6 +105,32 @@ def test_retry_exhaustion_reports_worker_lost(tmp_path):
     assert client.status(job_id).status.value == "done"
 
 
+def test_dead_chunk_charges_only_its_running_spec(tmp_path):
+    """A worker runs and journals its chunk in order, so a dead chunk's
+    first unjournaled spec is the one it was running; the specs after
+    it never started and must not be charged."""
+    specs = expand_grid(["gdnpeu"], ["unsafe", "dom-nontso"])
+    client = ServiceClient(tmp_path)
+    job_id = client.submit(specs)
+    kill = faults.FaultSpec(
+        "worker-kill", victim="gdnpeu", scheme="unsafe", secret=0, max_attempts=99
+    )
+    faults.install_plan(faults.FaultPlan((kill,)))
+    try:
+        _supervisor(
+            tmp_path, workers=1, chunksize=4, max_retries=0
+        ).run_until_idle(timeout=DRAIN_TIMEOUT)
+    finally:
+        faults.clear_plan()
+    outcomes = client.result(job_id).outcomes
+    killed, rest = outcomes[0], outcomes[1:]
+    assert (killed.victim, killed.scheme, killed.secret) == ("gdnpeu", "unsafe", 0)
+    assert killed.status is TrialStatus.WORKER_LOST
+    assert killed.error_type == "RetriesExhausted"
+    assert killed.attempts == 1
+    assert result_signature(rest) == _clean_signature(specs[1:])
+
+
 def test_fresh_supervisor_adopts_abandoned_job(tmp_path):
     """Supervisor 'crash': the first instance claims the job and spawns
     workers, then is abandoned.  A second instance on the same
