@@ -32,20 +32,23 @@ SCHEMES = ["dom-nontso", "fence-spectre"]
 
 
 def _service_run(specs, *, journal_fsync):
-    service_dir = tempfile.mkdtemp(prefix="repro-svc-bench-")
-    client = ServiceClient(service_dir)
-    job_id = client.submit(specs)
-    supervisor = SweepSupervisor(
-        service_dir,
-        workers=2,
-        chunksize=4,
-        poll_interval=0.005,
-        journal_fsync=journal_fsync,
-    )
-    start = time.perf_counter()
-    supervisor.run_until_idle(timeout=300.0)
-    elapsed = time.perf_counter() - start
-    return client.result(job_id), elapsed, service_dir
+    with tempfile.TemporaryDirectory(prefix="repro-svc-bench-") as service_dir:
+        client = ServiceClient(service_dir)
+        job_id = client.submit(specs)
+        supervisor = SweepSupervisor(
+            service_dir,
+            workers=2,
+            chunksize=4,
+            poll_interval=0.005,
+            journal_fsync=journal_fsync,
+        )
+        start = time.perf_counter()
+        try:
+            supervisor.run_until_idle(timeout=300.0)
+        finally:
+            supervisor.shutdown()  # no worker outlives the directory
+        elapsed = time.perf_counter() - start
+        return client.result(job_id), elapsed
 
 
 def service_overhead():
@@ -53,8 +56,8 @@ def service_overhead():
     start = time.perf_counter()
     direct = SerialSweepRunner().run(specs)
     direct_s = time.perf_counter() - start
-    durable, durable_s, _ = _service_run(specs, journal_fsync=True)
-    fast, fast_s, _ = _service_run(specs, journal_fsync=False)
+    durable, durable_s = _service_run(specs, journal_fsync=True)
+    fast, fast_s = _service_run(specs, journal_fsync=False)
     return specs, (direct, direct_s), (durable, durable_s), (fast, fast_s)
 
 

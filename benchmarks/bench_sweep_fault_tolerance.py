@@ -38,16 +38,17 @@ PLAN = FaultPlan((
 def faulted_resumed_sweep():
     specs = sweep_grid(VICTIMS, SCHEMES)
     reference = SerialSweepRunner().run(specs)
-    journal = TrialJournal(os.path.join(tempfile.mkdtemp(), "sweep.jsonl"))
-    faults.install_plan(PLAN)
-    try:
-        with ParallelSweepRunner(2, chunksize=1) as runner:
-            runner.run(specs[: len(specs) // 2], journal=journal)
-        checkpointed = len(journal)
-        with ParallelSweepRunner(2, chunksize=1) as runner:
-            result = runner.run(specs, journal=journal)
-    finally:
-        faults.clear_plan()
+    with tempfile.TemporaryDirectory(prefix="repro-ft-bench-") as workdir:
+        journal = TrialJournal(os.path.join(workdir, "sweep.jsonl"))
+        faults.install_plan(PLAN)
+        try:
+            with ParallelSweepRunner(2, chunksize=1) as runner:
+                runner.run(specs[: len(specs) // 2], journal=journal)
+            checkpointed = len(journal)
+            with ParallelSweepRunner(2, chunksize=1) as runner:
+                result = runner.run(specs, journal=journal)
+        finally:
+            faults.clear_plan()
     return specs, reference, checkpointed, result
 
 

@@ -65,19 +65,20 @@ def main(argv):
                   secret=0, max_attempts=1),
     )))
 
-    journal_path = os.path.join(tempfile.mkdtemp(), "sweep.jsonl")
-    journal = TrialJournal(journal_path)
+    with tempfile.TemporaryDirectory(prefix="repro-ft-example-") as workdir:
+        journal_path = os.path.join(workdir, "sweep.jsonl")
+        journal = TrialJournal(journal_path)
 
-    # "Interrupted" first run: only part of the grid executes, each
-    # finished trial checkpointed the moment it completes.
-    with make_runner(args.workers) as runner:
-        runner.run(specs[: len(specs) // 2], journal=journal)
-    print(f"[interrupt]  stopped mid-sweep with {len(journal)} trials "
-          f"checkpointed in {journal_path}")
+        # "Interrupted" first run: only part of the grid executes, each
+        # finished trial checkpointed the moment it completes.
+        with make_runner(args.workers) as runner:
+            runner.run(specs[: len(specs) // 2], journal=journal)
+        print(f"[interrupt]  stopped mid-sweep with {len(journal)} trials "
+              f"checkpointed in {journal_path}")
 
-    # Resume over the full grid, faults still active.
-    with make_runner(args.workers) as runner:
-        result = runner.run(specs, journal=journal)
+        # Resume over the full grid, faults still active.
+        with make_runner(args.workers) as runner:
+            result = runner.run(specs, journal=journal)
 
     print(f"[resume]     {len(result)} ok / {len(result.failures)} failed "
           f"of {len(result.outcomes)} trials")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.memory.cache import Cache
 from repro.memory.coherence import CoherenceDirectory
@@ -144,6 +144,11 @@ class CacheHierarchy:
             latency=cfg.dram_latency, jitter=cfg.dram_jitter, seed=cfg.seed
         )
         self.l1d_mshrs = [MSHRFile(cfg.l1d_mshrs) for _ in range(num_cores)]
+        #: Per core, the lines its visible data accesses reached since
+        #: that core's LSU last cleared the set (the LSU also adds each
+        #: line it allocates an MSHR for).  Parked loads on these lines
+        #: are the ones whose answer may have changed.
+        self.wake_lines: List[Set[int]] = [set() for _ in range(num_cores)]
         self.visible_log: List[VisibleAccess] = []
         #: Optional :class:`repro.trace.Tracer`; installed by
         #: ``repro.trace.install_tracer`` (None = tracing off, free).
@@ -223,12 +228,14 @@ class CacheHierarchy:
         value = self.memory.read(addr)
 
         latency = self.config.l1i.latency if kind is AccessKind.INST else self.config.l1d.latency
-        if visible and kind is AccessKind.DATA and self.coherence is not None:
-            # MESI read: join the sharers; a remote Modified copy costs
-            # a writeback round trip.  (Invisible accesses deliberately
-            # leave coherence state untouched — part of the schemes'
-            # invisibility contract.)
-            latency += self.coherence.on_read(core, line)
+        if visible and kind is AccessKind.DATA:
+            self.wake_lines[core].add(line)
+            if self.coherence is not None:
+                # MESI read: join the sharers; a remote Modified copy
+                # costs a writeback round trip.  (Invisible accesses
+                # deliberately leave coherence state untouched — part of
+                # the schemes' invisibility contract.)
+                latency += self.coherence.on_read(core, line)
         if visible:
             if l1.access(addr):
                 return AccessResult(latency, "L1", value, line, reached_llc=False)

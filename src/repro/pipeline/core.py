@@ -16,6 +16,12 @@ waiter and sets ``ready_cycle`` to *t+1*; an entry whose last producer
 broadcast joins the reservation station's seq-ordered ready list.
 Issue walks only that list and skips entries whose ``ready_cycle`` is
 still ahead, so the *t+1* rule is unchanged.
+
+A scheme whose issue rule is a prefix of the ROB window (the fence
+defenses) states it once per cycle as a seq, its
+:meth:`~repro.pipeline.scheme_api.SpeculationScheme.issue_gate`; the
+walk stops at the first entry past it or past the oldest pending fence,
+and entries below it issue without a per-entry ``may_issue`` call.
 """
 
 from __future__ import annotations
@@ -326,15 +332,25 @@ class Core:
                 return None
             wake = min(wake, finish)
         # Every parked load must provably stay parked (in its state).
-        for load in self.lsu.parked_loads():
-            if not self.lsu.parked_load_keeps_waiting(self, load):
-                return None
+        if not self.lsu.parked_loads_keep_waiting(self):
+            return None
         # Nothing in the RS may be able to issue.  An entry still waiting
         # on a producer cannot, unless §5.4 preemption may fire for it.
         oldest_fence = self._oldest_fence()
-        for instr in self.rs if self.scheme.preempt_eus else self.rs.ready:
-            if not self._issue_blocked_next_cycle(instr, flags_map, oldest_fence):
-                return None
+        if self.scheme.preempt_eus:
+            for instr in self.rs:
+                if not self._issue_blocked_next_cycle(instr, flags_map, oldest_fence):
+                    return None
+        else:
+            gate = self.scheme.issue_gate(flags_map)
+            limit = self._issue_limit(gate, oldest_fence)
+            for instr in self.rs.ready:
+                if limit is not None and instr.seq > limit:
+                    break  # held with every younger entry
+                if not self._issue_blocked_next_cycle(
+                    instr, flags_map, oldest_fence, ask_scheme=gate is None
+                ):
+                    return None
         # Dispatch must be blocked (or have nothing to do).
         if self.fetch_queue:
             instr = self.fetch_queue[0]
@@ -376,9 +392,13 @@ class Core:
         instr: DynInstr,
         flags_map: SafetyFrontier,
         oldest_fence: Optional[int],
+        *,
+        ask_scheme: bool = True,
     ) -> bool:
         """Side-effect-free: True when ``instr`` provably cannot issue
-        next cycle.  Mirrors the checks in :meth:`_issue` in order."""
+        next cycle.  Mirrors the checks in :meth:`_issue` in order;
+        ``ask_scheme=False`` is for an entry at or below the issue gate,
+        which the scheme admits."""
         eu = self.eus[instr.static.port]
         if not eu.config.pipelined and eu.busy:
             if self.scheme.preempt_eus:
@@ -391,6 +411,8 @@ class Core:
         if instr.pending_sources:
             return True  # a producer has not broadcast yet
         # Every broadcast happened by this cycle => ready next cycle.
+        if not ask_scheme:
+            return False
         flags = flags_map.get(instr.seq)
         if flags is None:
             return False
@@ -464,6 +486,7 @@ class Core:
             if flags is None or not is_safe(model, flags):
                 return
             entry.became_safe = True
+            self.lsu.note_became_safe(entry)
             if self.tracer is not None:
                 self.tracer.emit(
                     EventKind.SCHEME_SAFE,
@@ -659,24 +682,45 @@ class Core:
             return
         cycle = self.cycle
         eus = self.eus
-        scheme_may_issue = self.scheme.may_issue
-        flags_get = self.safety_flags.get
+        scheme = self.scheme
+        # §5.4 preemption runs before may_issue and has side effects, so
+        # it keeps the per-entry may_issue call.
+        gate = None if scheme.preempt_eus else scheme.issue_gate(self.safety_flags)
         oldest_fence = self._oldest_fence()
+        limit = self._issue_limit(gate, oldest_fence)
+        scheme_may_issue = scheme.may_issue
+        flags_get = self.safety_flags.get
         # Walk a copy: a §5.4 preempted occupant rejoins the ready list
         # mid-walk, and issues next cycle at the earliest.
         for instr in tuple(ready):
-            if oldest_fence is not None and oldest_fence < instr.seq:
-                break  # this entry and every younger one wait on the fence
+            if limit is not None and instr.seq > limit:
+                # This entry and every younger one wait on the gate or
+                # the fence.
+                if limit != oldest_fence:
+                    scheme.on_issue_gated(self)
+                break
             if instr.ready_cycle > cycle:
                 continue  # woken this cycle: one-cycle wakeup delay
             eu = eus[instr.static.port]
             if not eu.can_accept(cycle):
                 if not self._try_preempt(eu, instr):
                     continue
-            flags = flags_get(instr.seq)
-            if flags is not None and not scheme_may_issue(self, instr, flags):
-                continue
+            if gate is None:
+                flags = flags_get(instr.seq)
+                if flags is not None and not scheme_may_issue(self, instr, flags):
+                    continue
             self._do_issue(instr, eu)
+
+    @staticmethod
+    def _issue_limit(
+        gate: Optional[int], oldest_fence: Optional[int]
+    ) -> Optional[int]:
+        """The youngest seq that may issue this cycle: the scheme's gate
+        or the oldest pending fence, whichever is older (``None`` when
+        neither applies)."""
+        if gate is None or (oldest_fence is not None and oldest_fence <= gate):
+            return oldest_fence
+        return gate
 
     def _try_preempt(self, eu: ExecutionUnit, instr: DynInstr) -> bool:
         """§5.4 'squashable EU': evict a younger occupant for an older,

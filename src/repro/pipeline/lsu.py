@@ -7,15 +7,28 @@ The LSU owns every load between issue and data return:
 * it allocates an L1-D MSHR for every miss it sends down the hierarchy —
   visible or invisible alike (this shared, issue-ordered allocation is
   the GDMSHR attack surface, §3.2.2);
-* delayed loads (DoM-style) and MSHR-blocked loads park here and are
-  re-evaluated oldest-first every cycle;
+* delayed loads (DoM-style) and MSHR-blocked loads park here; each
+  cycle one oldest-first pass re-evaluates those whose answer may have
+  changed (see :meth:`LoadStoreUnit.retry_parked`);
 * store-to-load forwarding bypasses the cache entirely.
+
+Under a scheme whose ``parked_loads_wake_on_events`` holds, a parked
+load's answer depends only on its own ``became_safe``, on whether its
+line is in this core's L1-D and, for an MSHR-parked load, on whether
+the MSHR file can take its line.  So a scheme-parked load is
+re-evaluated only after its became-safe transition or a visible L1-D
+access to its line; an MSHR-parked one also after an MSHR allocation
+for its line, or when the file is not full at its turn.  The lines come
+from ``CacheHierarchy.wake_lines`` (every visible data access adds its
+line) plus the MSHR allocations made here; each pass clears them.
+Forward-parked loads, and every load under a scheme that polls, are
+re-evaluated every cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.memory.hierarchy import AccessKind, CacheHierarchy
 from repro.memory.mshr import MSHRFile
@@ -62,6 +75,11 @@ class LoadStoreUnit:
         self._occupancy = 0
         self._parked: List[DynInstr] = []  # age-ordered
         self._inflight: List[_InFlightLoad] = []
+        #: Wake events since the last retry pass: lines this core's
+        #: visible data accesses reached or that got an MSHR here, and
+        #: loads that became safe.
+        self._wake_lines: Set[int] = hierarchy.wake_lines[core_id]
+        self._became_safe: Set[int] = set()
         self.stats_delayed = 0
         self.stats_mshr_blocked_cycles = 0
         self.stats_invisible = 0
@@ -84,7 +102,13 @@ class LoadStoreUnit:
         self._occupancy += 1
 
     def release_slot(self) -> None:
-        self._occupancy = max(0, self._occupancy - 1)
+        if self._occupancy == 0:
+            raise RuntimeError("LSU slot released twice (occupancy already 0)")
+        self._occupancy -= 1
+
+    def note_became_safe(self, load: DynInstr) -> None:
+        """``load`` just became safe: wake it if it is parked."""
+        self._became_safe.add(load.seq)
 
     # ------------------------------------------------------------------
     # submission & evaluation
@@ -223,6 +247,7 @@ class LoadStoreUnit:
         mshr_line = None
         if needs_mshr:
             self.mshrs.allocate(line, consumer=load.seq, cycle=cycle)
+            self._wake_lines.add(line)  # a younger load may coalesce now
             mshr_line = line
         result = self.hierarchy.access(
             self.core_id,
@@ -244,23 +269,52 @@ class LoadStoreUnit:
     # per-cycle work
     # ------------------------------------------------------------------
     def retry_parked(self, core: "Core", cycle: int) -> None:
-        """Re-evaluate parked loads, oldest first."""
-        if not self._parked:
-            return
-        queue = sorted(self._parked, key=lambda l: l.seq)
-        self._parked = []
-        for load in queue:
-            if load.load_state == LS_PARKED_FWD:
-                if not self._retry_forward(core, load, cycle):
+        """Re-evaluate parked loads, oldest first.
+
+        Under a scheme that wakes parked loads on events, a scheme- or
+        MSHR-parked load that :meth:`parked_load_sleeps` stays parked
+        without a scheme or cache call, and is counted as a
+        re-evaluation that parks it again would count it.  The wake
+        events are cleared after the pass.
+        """
+        if self._parked:
+            queue = sorted(self._parked, key=lambda l: l.seq)
+            self._parked = []
+            events = self.scheme.parked_loads_wake_on_events
+            for load in queue:
+                was_state = load.load_state
+                if was_state == LS_PARKED_FWD:
+                    if not self._retry_forward(core, load, cycle):
+                        self._parked.append(load)
+                    continue
+                if events and self.parked_load_sleeps(load):
                     self._parked.append(load)
-                continue
-            was_state = load.load_state
-            was_mshr = was_state == LS_PARKED_MSHR
-            load.load_state = None
-            # _evaluate re-parks into self._parked when still blocked.
-            self._evaluate(core, load, cycle, prev=was_state)
-            if was_mshr and load.load_state == LS_PARKED_MSHR:
-                self.stats_mshr_blocked_cycles += 1
+                    if was_state == LS_PARKED_SCHEME:
+                        self.stats_delayed += 1
+                    else:
+                        self.stats_mshr_blocked_cycles += 2
+                    continue
+                was_mshr = was_state == LS_PARKED_MSHR
+                load.load_state = None
+                # _evaluate re-parks into self._parked when still blocked.
+                self._evaluate(core, load, cycle, prev=was_state)
+                if was_mshr and load.load_state == LS_PARKED_MSHR:
+                    self.stats_mshr_blocked_cycles += 1
+        self._wake_lines.clear()
+        self._became_safe.clear()
+
+    def parked_load_sleeps(self, load: DynInstr) -> bool:
+        """Event path: True when nothing that decides this scheme- or
+        MSHR-parked load's answer can have changed since it was last
+        evaluated — it did not become safe, no visible access by this
+        core reached its line and no MSHR was allocated for it, and it
+        is scheme-parked or the MSHR file is full.  Only meaningful
+        under a scheme whose ``parked_loads_wake_on_events`` holds."""
+        if load.seq in self._became_safe:
+            return False
+        if self.hierarchy.llc.layout.line_addr(load.addr) in self._wake_lines:
+            return False
+        return load.load_state == LS_PARKED_SCHEME or self.mshrs.full
 
     def _retry_forward(self, core: "Core", load: DynInstr, cycle: int) -> bool:
         """Re-run disambiguation; True when the load left the FWD state."""
@@ -285,12 +339,28 @@ class LoadStoreUnit:
     def parked_loads(self) -> List[DynInstr]:
         return self._parked
 
+    def parked_loads_keep_waiting(self, core: "Core") -> bool:
+        """Side-effect-free: would every parked load still be parked in
+        its state after the next :meth:`retry_parked` pass?  A load the
+        event path would leave asleep does; any other is previewed with
+        :meth:`parked_load_keeps_waiting`."""
+        events = self.scheme.parked_loads_wake_on_events
+        for load in self._parked:
+            if events and load.load_state != LS_PARKED_FWD:
+                if not self.parked_load_sleeps(load):
+                    return False
+            elif not self.parked_load_keeps_waiting(core, load):
+                return False
+        return True
+
     def parked_load_keeps_waiting(self, core: "Core", load: DynInstr) -> bool:
         """Side-effect-free: would this parked load still be parked in
-        the *same state* after the next :meth:`retry_parked` pass?
+        the *same state* after a re-evaluation now?
 
         Mirrors :meth:`_retry_forward` / :meth:`_evaluate` without any
-        state change.  Returns False whenever the outcome is uncertain
+        state change: the per-cycle poll, kept for polling schemes and
+        forward-parked loads, and as the sanitizer's reference for the
+        event path.  Returns False whenever the outcome is uncertain
         (e.g. the scheme cannot preview its decision), which merely
         disables fast-forwarding for that window.
         """
@@ -321,10 +391,10 @@ class LoadStoreUnit:
 
     def note_skipped_cycles(self, count: int) -> None:
         """Account ``count`` fast-forwarded cycles of parked-load
-        retries: a scheme-delayed load is re-evaluated (and re-counted)
-        once per cycle; a persistently MSHR-blocked load is counted
-        twice per cycle (once in :meth:`_evaluate`, once in the
-        ``was_mshr`` re-check in :meth:`retry_parked`)."""
+        retries: a scheme-delayed load is counted once per cycle; a
+        persistently MSHR-blocked load twice per cycle (once in
+        :meth:`_evaluate`, once in the ``was_mshr`` re-check in
+        :meth:`retry_parked`), as a sleeping one is."""
         for load in self._parked:
             if load.load_state == LS_PARKED_SCHEME:
                 self.stats_delayed += count

@@ -11,6 +11,16 @@ only in *policy*, expressed through this interface:
 * :meth:`SpeculationScheme.on_squash` — roll back scheme state.
 * :meth:`SpeculationScheme.may_issue` — issue gating, used by the
   paper's basic fence defense (§5.2).
+* :meth:`SpeculationScheme.issue_gate` — the same gate stated once per
+  cycle as the youngest seq it admits, when the rule is a prefix of the
+  ROB window, so the issue stage stops there instead of asking
+  :meth:`~SpeculationScheme.may_issue` for every ready entry.
+* :attr:`SpeculationScheme.parked_loads_wake_on_events` — whether
+  :meth:`~SpeculationScheme.load_decision` depends only on the load's
+  own ``became_safe`` and on whether its line is in the L1-D, with no
+  side effect beyond the scheme's own counters.  Then the LSU wakes a
+  parked load only on the events that can change its answer; otherwise
+  it re-asks every cycle.
 * :meth:`SpeculationScheme.fetch_visible` — whether speculative I-cache
   accesses change cache state (unprotected in InvisiSpec and DoM, which
   is what the I-cache PoC exploits, §4.3).
@@ -26,7 +36,7 @@ import enum
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.pipeline.dyninstr import DynInstr
-from repro.pipeline.rob import SafetyFlags
+from repro.pipeline.rob import SafetyFlags, SafetyFrontier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.core import Core
@@ -100,6 +110,24 @@ class SpeculationScheme:
     hold_rs_until_safe = False
     #: Preempt non-pipelined EUs for older instructions (rule 2, §5.4).
     preempt_eus = False
+    #: :meth:`load_decision` depends only on ``safe`` (the load's own
+    #: ``became_safe``) and on whether the load's line is in the core's
+    #: L1-D, and changes nothing but the scheme's own counters.  The LSU
+    #: then re-evaluates a parked load only after its became-safe
+    #: transition, a visible L1-D access to its line or an MSHR
+    #: allocation for it (see ``LoadStoreUnit.retry_parked``).  A fact
+    #: about the scheme's code, not a setting: a subclass that overrides
+    #: :meth:`load_decision` without declaring it gets False, and its
+    #: parked loads are re-evaluated every cycle.
+    parked_loads_wake_on_events = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if (
+            "load_decision" in cls.__dict__
+            and "parked_loads_wake_on_events" not in cls.__dict__
+        ):
+            cls.parked_loads_wake_on_events = False
 
     # -- load path -------------------------------------------------------
     def load_decision(self, core: "Core", load: DynInstr, safe: bool) -> LoadDecision:
@@ -149,6 +177,24 @@ class SpeculationScheme:
         if type(self).may_issue is SpeculationScheme.may_issue:
             return True
         return None
+
+    def issue_gate(self, frontier: SafetyFrontier) -> Optional[int]:
+        """The youngest seq :meth:`may_issue` admits under ``frontier``,
+        or ``None`` when its rule is not a prefix of the ROB window.
+
+        A gate ``g`` states that every entry with ``seq <= g`` may issue
+        and every younger one may not, so the issue stage walks the ready
+        list up to ``g`` without asking :meth:`may_issue`.  ``None``
+        (STT's taint check) keeps the per-entry call.  A scheme that
+        does not override :meth:`may_issue` admits the whole window.
+        """
+        if type(self).may_issue is SpeculationScheme.may_issue:
+            return frontier.tail
+        return None
+
+    def on_issue_gated(self, core: "Core") -> None:
+        """The issue stage stopped at :meth:`issue_gate` with a ready
+        entry past it (called at most once per cycle)."""
 
     def fetch_visible(self, core: "Core", speculative: bool) -> bool:
         """Visibility of an instruction fetch."""

@@ -29,6 +29,8 @@ class CleanupSpec(SpeculationScheme):
     name = "cleanupspec"
     protects_icache = False
     safety = SafetyModel.SPECTRE
+    #: load_decision writes an undo-log entry on every call.
+    parked_loads_wake_on_events = False
 
     def __init__(self) -> None:
         #: (core_id, load seq) -> filled line (for rollback).

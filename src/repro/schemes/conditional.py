@@ -28,6 +28,8 @@ class ConditionalSpeculation(SpeculationScheme):
     name = "condspec"
     protects_icache = True
     safety = SafetyModel.FUTURISTIC
+    #: The decision reads only ``safe`` and L1-D presence.
+    parked_loads_wake_on_events = True
 
     def __init__(self) -> None:
         self._deferred_touch: Dict[Tuple[int, int], int] = {}

@@ -43,6 +43,8 @@ class DelayOnMiss(SpeculationScheme):
     """
 
     protects_icache = False  # I-cache accesses are unprotected (§3.2.2)
+    #: The decision reads only ``safe`` and L1-D presence.
+    parked_loads_wake_on_events = True
 
     def __init__(
         self, memory_model: str = "nontso", *, value_predict: bool = False

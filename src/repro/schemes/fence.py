@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.pipeline.dyninstr import DynInstr
-from repro.pipeline.rob import SafetyFlags
+from repro.pipeline.rob import SafetyFlags, SafetyFrontier
 from repro.pipeline.scheme_api import LoadDecision, SafetyModel, SpeculationScheme
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,6 +29,7 @@ class FenceDefense(SpeculationScheme):
     """Fence-after-squashable-instructions, Spectre or Futuristic model."""
 
     protects_icache = True  # nothing speculative may touch any cache
+    parked_loads_wake_on_events = True  # every load is VISIBLE
 
     def __init__(self, model: str = "spectre") -> None:
         if model not in ("spectre", "futuristic"):
@@ -38,7 +39,19 @@ class FenceDefense(SpeculationScheme):
             SafetyModel.SPECTRE if model == "spectre" else SafetyModel.FUTURISTIC
         )
         self.name = f"fence-{model}"
+        #: Issue stages in which the fence held back a ready entry.
         self.issue_blocks = 0
+
+    def issue_gate(self, frontier: SafetyFrontier) -> int:
+        # Exactly the flags may_issue reads: an entry's older branches
+        # (older entries) are all resolved (completed) iff its seq is at
+        # most the oldest unresolved branch (incomplete entry).
+        if self.model == "spectre":
+            return frontier.branches
+        return frontier.completed
+
+    def on_issue_gated(self, core: "Core") -> None:
+        self.issue_blocks += 1
 
     def may_issue(self, core: "Core", instr: DynInstr, flags: SafetyFlags) -> bool:
         if self.model == "spectre":

@@ -29,6 +29,8 @@ class InvisiSpec(SpeculationScheme):
     """InvisiSpec in Spectre or Futuristic mode."""
 
     protects_icache = False
+    #: The decision reads only ``safe``.
+    parked_loads_wake_on_events = True
 
     def __init__(self, mode: str = "spectre") -> None:
         if mode not in ("spectre", "futuristic"):

@@ -30,6 +30,9 @@ class MuonTrap(SpeculationScheme):
     name = "muontrap"
     protects_icache = True
     safety = SafetyModel.FUTURISTIC
+    #: load_decision accesses (and on a miss fills) the filter on every
+    #: call.
+    parked_loads_wake_on_events = False
 
     def __init__(self, *, filter_sets: int = 8, filter_ways: int = 2) -> None:
         self.filter_sets = filter_sets

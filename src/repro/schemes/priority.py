@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.pipeline.dyninstr import DynInstr
-from repro.pipeline.rob import SafetyFlags
+from repro.pipeline.rob import SafetyFlags, SafetyFrontier
 from repro.pipeline.scheme_api import LoadDecision, SpeculationScheme
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +43,7 @@ class PriorityDefense(SpeculationScheme):
         self.name = f"priority+{base.name}"
         self.safety = base.safety
         self.protects_icache = base.protects_icache
+        self.parked_loads_wake_on_events = base.parked_loads_wake_on_events
 
     # Delegate the cache-visibility policy to the base scheme.
     def load_decision(self, core: "Core", load: DynInstr, safe: bool) -> LoadDecision:
@@ -62,6 +63,12 @@ class PriorityDefense(SpeculationScheme):
 
     def peek_may_issue(self, core, instr, flags):
         return self.base.peek_may_issue(core, instr, flags)
+
+    def issue_gate(self, frontier: SafetyFrontier) -> Optional[int]:
+        return self.base.issue_gate(frontier)
+
+    def on_issue_gated(self, core: "Core") -> None:
+        self.base.on_issue_gated(core)
 
     def fetch_visible(self, core: "Core", speculative: bool) -> bool:
         return self.base.fetch_visible(core, speculative)

@@ -29,6 +29,8 @@ class SafeSpec(SpeculationScheme):
     """SafeSpec with a per-core shadow buffer."""
 
     protects_icache = True
+    #: load_decision inserts into the shadow buffer on every call.
+    parked_loads_wake_on_events = False
 
     def __init__(self, mode: str = "wfb", *, shadow_lines: int = 16) -> None:
         if mode not in ("wfb", "wfc"):

@@ -42,6 +42,7 @@ class STT(SpeculationScheme):
     """Speculative taint tracking with issue-time transmitter gating."""
 
     protects_icache = False
+    parked_loads_wake_on_events = True  # every load is VISIBLE
 
     def __init__(self, mode: str = "spectre") -> None:
         if mode not in ("spectre", "futuristic"):

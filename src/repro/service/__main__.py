@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 from typing import Dict, List, Optional
@@ -167,11 +168,22 @@ def _cmd_chaos_smoke(args: argparse.Namespace) -> int:
         _split(args.victims), _split(args.schemes), (0, 1), base_seed=args.seed
     )
     workdir: Optional[str] = args.dir
-    if workdir is None:
+    temporary = workdir is None
+    if temporary:
         workdir = tempfile.mkdtemp(prefix="repro-chaos-smoke-")
-    report = chaos_differential(
-        specs, workdir, seed=args.seed, timeout=args.timeout
-    )
+    report = None
+    try:
+        # chaos_differential stops its daemon and workers before it
+        # returns or raises.
+        report = chaos_differential(
+            specs, workdir, seed=args.seed, timeout=args.timeout
+        )
+    finally:
+        if temporary:
+            if report is not None and report["identical"]:
+                shutil.rmtree(workdir, ignore_errors=True)
+            else:
+                print(f"chaos-smoke work dir kept: {workdir}", file=sys.stderr)
     print(json.dumps(report, indent=2, sort_keys=True))
     if not report["identical"]:
         print("chaos-smoke FAILED: chaos run diverged", file=sys.stderr)

@@ -19,6 +19,11 @@ cycle boundaries, where every stage has finished its bookkeeping):
   holds exactly the waiting entries whose producers have all broadcast,
   and those of them ready by the current cycle are the entries
   :func:`reference_ready` finds by scanning the whole station.
+* **Parked-load wakeup** — under a scheme whose parked loads wake on
+  events, every parked load the event path would leave asleep is one
+  the per-cycle poll, :func:`reference_parked`, keeps waiting.
+* **Issue gate** — for every ready entry, the scheme's
+  ``issue_gate`` admits it exactly when ``peek_may_issue`` does.
 * **RS slot accounting** — occupied micro-ops equal the sum over waiting
   entries plus held (issued-but-speculative) weights, within capacity.
 * **No MSHR leaks across squash** — every MSHR consumer is a live
@@ -42,6 +47,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.pipeline.dyninstr import DynInstr, Phase, SourceOperand
+from repro.pipeline.lsu import LS_PARKED_FWD
 from repro.pipeline.rob import SafetyFlags
 from repro.pipeline.scheme_api import LoadDecision
 
@@ -73,6 +79,19 @@ def reference_ready(core: "Core") -> List[DynInstr]:
         return entry[1] < cycle
 
     return [e for e in core.rs if all(ready(src) for src in e.sources)]
+
+
+def reference_parked(core: "Core") -> List[DynInstr]:
+    """The parked loads a retry pass would move out of their state now,
+    oldest first, by the side-effect-free poll
+    (``LoadStoreUnit.parked_load_keeps_waiting``) that re-asked every
+    parked load every cycle before parked loads woke on events."""
+    lsu = core.lsu
+    return [
+        load
+        for load in sorted(lsu.parked_loads(), key=lambda l: l.seq)
+        if not lsu.parked_load_keeps_waiting(core, load)
+    ]
 
 
 class InvariantViolation(RuntimeError):
@@ -206,6 +225,8 @@ class InvariantSanitizer:
         self._check_rob_indices(core)
         self._check_rs_order(core)
         self._check_rs_ready(core)
+        self._check_parked_wakeup(core)
+        self._check_issue_gate(core)
         self._check_rs_accounting(core)
         self._check_mshrs(core)
         self._check_lsu_slots(core)
@@ -281,6 +302,51 @@ class InvariantSanitizer:
                 f"RS ready list drifted: {issuable} ready by cycle "
                 f"{core.cycle}, the scan finds {scanned}",
             )
+
+    def _check_parked_wakeup(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        lsu = core.lsu
+        if not core.scheme.parked_loads_wake_on_events:
+            return
+        asleep = [
+            load
+            for load in lsu.parked_loads()
+            if load.load_state != LS_PARKED_FWD and lsu.parked_load_sleeps(load)
+        ]
+        if not asleep:
+            return
+        moving = {id(load) for load in reference_parked(core)}
+        for load in asleep:
+            if id(load) in moving:
+                self._fail(
+                    core,
+                    f"parked load #{load.seq} ({load.load_state}) sleeps "
+                    "with no wake event, but the poll would move it out "
+                    "of its state",
+                )
+
+    def _check_issue_gate(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        scheme = core.scheme
+        frontier = core.rob.safety_flags()
+        gate = scheme.issue_gate(frontier)
+        if gate is None:
+            return
+        for instr in core.rs.ready:
+            flags = frontier.get(instr.seq)
+            if flags is None:
+                self._fail(
+                    core, f"ready entry #{instr.seq} lies outside the ROB window"
+                )
+            peek = scheme.peek_may_issue(core, instr, flags)
+            if peek is not None and bool(peek) != (instr.seq <= gate):
+                self._fail(
+                    core,
+                    f"issue gate {gate} of scheme "
+                    f"'{getattr(scheme, 'name', scheme)}' "
+                    f"{'admits' if instr.seq <= gate else 'holds'} "
+                    f"#{instr.seq}, but peek_may_issue={bool(peek)}",
+                )
 
     def _check_rs_accounting(self, core: "Core") -> None:
         self.invariant_checks += 1

@@ -4,11 +4,15 @@ and the CDB — the pieces the attack-enabling behaviours live in."""
 import pytest
 
 from repro.isa import instructions as ins
+from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.branch import OraclePredictor, StaticTakenPredictor, TwoBitPredictor
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.dyninstr import DynInstr, Phase
 from repro.pipeline.execution_unit import CommonDataBus
+from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.reservation_station import ReservationStation
 from repro.pipeline.rob import ROB
+from repro.pipeline.scheme_api import SpeculationScheme
 
 
 def dyn(seq, inst=None, **kw):
@@ -237,3 +241,12 @@ class TestCDB:
         victims = cdb.squash_younger_than(5)
         assert [v.seq for v in victims] == [9]
         assert len(cdb) == 2
+
+
+class TestLSUSlots:
+    def test_double_release_raises(self):
+        lsu = LoadStoreUnit(0, CacheHierarchy(1), SpeculationScheme(), CoreConfig())
+        lsu.allocate_slot()
+        lsu.release_slot()
+        with pytest.raises(RuntimeError, match="released twice"):
+            lsu.release_slot()

@@ -9,9 +9,10 @@ per-cycle accounting.
 import pytest
 
 from repro.core.harness import prepare_machine
-from repro.core.victims import gdmshr_victim, gdnpeu_victim
+from repro.core.victims import gdnpeu_victim, victim_by_name
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core
+from repro.schemes import scheme_names
 from repro.system.machine import Machine
 from repro.workloads.synthetic import workload_by_name
 
@@ -58,14 +59,32 @@ def test_fast_forward_machine_trial_identical(scheme):
     assert results[True] == results[False]
 
 
-def test_fast_forward_mshr_victim_identical():
-    spec = gdmshr_victim(variant="vd-vd")
-    stats = {}
+@pytest.mark.parametrize("secret", (0, 1))
+@pytest.mark.parametrize("victim", ["gdmshr", "gdnpeu", "girs"])
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_fast_forward_mshr_victim_identical(scheme, victim, secret):
+    """The LSU counters fast-forward applies in closed form (a parked
+    load's ``stats_delayed`` and ``stats_mshr_blocked_cycles`` per
+    skipped cycle) equal stepping every cycle, under every scheme."""
+    spec = victim_by_name(victim)
+    results = {}
     for ff in (False, True):
-        machine, core, _ = prepare_machine(spec, "muontrap", 1)
+        machine, core, _ = prepare_machine(spec, scheme, secret)
         machine.run(until=lambda: core.halted, max_cycles=20_000, fast_forward=ff)
-        stats[ff] = (core.stats, core.lsu.stats_mshr_blocked_cycles)
-    assert stats[True] == stats[False]
+        lsu = core.lsu
+        results[ff] = (
+            core.stats,
+            machine.cycle,
+            (
+                lsu.stats_delayed,
+                lsu.stats_mshr_blocked_cycles,
+                lsu.stats_invisible,
+                lsu.stats_forwards,
+                lsu.stats_predicted,
+            ),
+            [(e.cycle, e.line, e.kind, e.core, e.hit) for e in machine.hierarchy.visible_log],
+        )
+    assert results[True] == results[False]
 
 
 def test_machine_auto_gating():
