@@ -81,6 +81,8 @@ class LoadStoreUnit:
         self._wake_lines: Set[int] = hierarchy.wake_lines[core_id]
         self._became_safe: Set[int] = set()
         self.stats_delayed = 0
+        #: Loads that ended a retry pass MSHR-parked, summed over
+        #: passes (one per load per cycle it stays MSHR-blocked).
         self.stats_mshr_blocked_cycles = 0
         self.stats_invisible = 0
         self.stats_forwards = 0
@@ -241,7 +243,6 @@ class LoadStoreUnit:
         line = self.hierarchy.llc.layout.line_addr(load.addr)
         needs_mshr = not self.hierarchy.l1_hit(self.core_id, load.addr)
         if needs_mshr and not self.mshrs.can_allocate(line):
-            self.stats_mshr_blocked_cycles += 1
             self._park(load, LS_PARKED_MSHR, prev, cycle)
             return
         mshr_line = None
@@ -274,8 +275,10 @@ class LoadStoreUnit:
         Under a scheme that wakes parked loads on events, a scheme- or
         MSHR-parked load that :meth:`parked_load_sleeps` stays parked
         without a scheme or cache call, and is counted as a
-        re-evaluation that parks it again would count it.  The wake
-        events are cleared after the pass.
+        re-evaluation that parks it again would count it.  Each load
+        that ends the pass MSHR-parked adds one to
+        ``stats_mshr_blocked_cycles``.  The wake events are cleared
+        after the pass.
         """
         if self._parked:
             queue = sorted(self._parked, key=lambda l: l.seq)
@@ -286,19 +289,16 @@ class LoadStoreUnit:
                 if was_state == LS_PARKED_FWD:
                     if not self._retry_forward(core, load, cycle):
                         self._parked.append(load)
-                    continue
-                if events and self.parked_load_sleeps(load):
+                elif events and self.parked_load_sleeps(load):
                     self._parked.append(load)
                     if was_state == LS_PARKED_SCHEME:
                         self.stats_delayed += 1
-                    else:
-                        self.stats_mshr_blocked_cycles += 2
-                    continue
-                was_mshr = was_state == LS_PARKED_MSHR
-                load.load_state = None
-                # _evaluate re-parks into self._parked when still blocked.
-                self._evaluate(core, load, cycle, prev=was_state)
-                if was_mshr and load.load_state == LS_PARKED_MSHR:
+                else:
+                    load.load_state = None
+                    # _evaluate re-parks into self._parked when still
+                    # blocked.
+                    self._evaluate(core, load, cycle, prev=was_state)
+                if load.load_state == LS_PARKED_MSHR:
                     self.stats_mshr_blocked_cycles += 1
         self._wake_lines.clear()
         self._became_safe.clear()
@@ -391,15 +391,13 @@ class LoadStoreUnit:
 
     def note_skipped_cycles(self, count: int) -> None:
         """Account ``count`` fast-forwarded cycles of parked-load
-        retries: a scheme-delayed load is counted once per cycle; a
-        persistently MSHR-blocked load twice per cycle (once in
-        :meth:`_evaluate`, once in the ``was_mshr`` re-check in
-        :meth:`retry_parked`), as a sleeping one is."""
+        retries: a scheme-delayed or MSHR-blocked load is counted once
+        per cycle, as each :meth:`retry_parked` pass would count it."""
         for load in self._parked:
             if load.load_state == LS_PARKED_SCHEME:
                 self.stats_delayed += count
             elif load.load_state == LS_PARKED_MSHR:
-                self.stats_mshr_blocked_cycles += 2 * count
+                self.stats_mshr_blocked_cycles += count
 
     def collect_completions(self, cycle: int) -> List[DynInstr]:
         """Loads whose data returns this cycle (MSHRs released here)."""

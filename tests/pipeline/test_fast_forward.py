@@ -9,12 +9,12 @@ per-cycle accounting.
 import pytest
 
 from repro.core.harness import prepare_machine
-from repro.core.victims import gdnpeu_victim, victim_by_name
+from repro.core.victims import ATTACK_HIERARCHY, gdnpeu_victim, victim_by_name
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core
-from repro.schemes import scheme_names
+from repro.schemes import make_scheme, scheme_names
 from repro.system.machine import Machine
-from repro.workloads.synthetic import workload_by_name
+from repro.workloads.synthetic import synthetic_suite, workload_by_name
 
 
 def _run_workload_core(name: str, fast_forward: bool) -> Core:
@@ -85,6 +85,29 @@ def test_fast_forward_mshr_victim_identical(scheme, victim, secret):
             [(e.cycle, e.line, e.kind, e.core, e.hit) for e in machine.hierarchy.visible_log],
         )
     assert results[True] == results[False]
+
+
+@pytest.mark.parametrize("fast_forward", (False, True))
+def test_mshr_blocked_cycles_count_each_load_once_per_cycle(fast_forward):
+    """``stats_mshr_blocked_cycles`` adds one per load per cycle in
+    which the load ends the retry pass MSHR-parked, with fast-forward
+    on or off.  The ten Fig. 12 kernels under ``unsafe`` read 132,048;
+    counting each such load in ``_evaluate`` and again in the retry
+    pass read 264,254."""
+    total = 0
+    for workload in synthetic_suite():
+        machine = Machine(num_cores=1, hierarchy_config=ATTACK_HIERARCHY)
+        for addr, value in workload.memory_image.items():
+            machine.hierarchy.memory.write(addr, value)
+        machine.warm_icache(0, workload.program)
+        core = machine.attach(0, workload.program, make_scheme("unsafe"))
+        machine.run(
+            until=lambda: core.halted,
+            max_cycles=3_000_000,
+            fast_forward=fast_forward,
+        )
+        total += core.lsu.stats_mshr_blocked_cycles
+    assert total == 132_048
 
 
 def test_machine_auto_gating():
