@@ -22,6 +22,15 @@ defenses) states it once per cycle as a seq, its
 :meth:`~repro.pipeline.scheme_api.SpeculationScheme.issue_gate`; the
 walk stops at the first entry past it or past the oldest pending fence,
 and entries below it issue without a per-entry ``may_issue`` call.
+
+A stepped cycle does work per due event.  The safety frontier is built
+once per step, after fetch, and carried to the next cycle, whose stages
+and whose :meth:`Core.next_event_cycle` check both read it; nothing
+between two steps moves the ROB, so it is the start-of-cycle frontier.
+Each execution unit and the LSU keep ``next_finish``, their earliest
+in-flight finish cycle, so writeback drains only the units due this
+cycle and the fast-forward check reads each unit's next completion in
+O(1).
 """
 
 from __future__ import annotations
@@ -160,7 +169,8 @@ class Core:
         self.cycle = 0
         self.halted = False
         self.stats = CoreStats()
-        #: The ROB's safety frontier at the start of the current cycle.
+        #: The ROB's safety frontier at the start of the current cycle;
+        #: between two steps, that of the next one (see :meth:`step`).
         self.safety_flags: SafetyFrontier = self.rob.safety_flags()
 
         # frontend state
@@ -198,7 +208,15 @@ class Core:
     # public driving API
     # ==================================================================
     def step(self, cycle: int) -> None:
-        """Advance one cycle (``cycle`` must increase monotonically)."""
+        """Advance one cycle (``cycle`` must increase monotonically).
+
+        The cycle's stages read ``safety_flags``, the frontier built at
+        the end of the previous step, after ``_fetch``.  Nothing between
+        two steps moves the ROB (scheduled attacker reads, cycle hooks,
+        other cores and :meth:`fast_forward` touch only the hierarchy and
+        counters), so it equals the start-of-cycle frontier, and
+        :meth:`next_event_cycle` reads the same value.
+        """
         if cycle <= self.cycle:
             raise ValueError("cycles must be monotonically increasing")
         self.cycle = cycle
@@ -213,7 +231,6 @@ class Core:
             self.fault_injector.on_core_cycle(self)
         if self.halted:
             return
-        self.safety_flags = self.rob.safety_flags()
         self._update_safety()
         self._retire()
         self._writeback()
@@ -221,6 +238,7 @@ class Core:
         self._issue()
         self._dispatch()
         self._fetch()
+        self.safety_flags = self.rob.safety_flags()
         if (
             self.rob.empty
             and not self.fetch_queue
@@ -286,6 +304,10 @@ class Core:
         completion, a redirect, the end of a fetch stall, or the
         deadlock-detector horizon), so :meth:`fast_forward` may skip to
         ``wake - 1`` while reproducing the per-cycle counters exactly.
+
+        Every check is free of side effects, so their order does not
+        change the answer: the O(1) ones come first, then the safety
+        walk, the parked loads and the ready list.
         """
         if self.halted:
             return None
@@ -297,17 +319,21 @@ class Core:
         head = self.rob.head()
         if head is not None and head.phase is Phase.COMPLETED:
             return None
-        # A load would transition to safe (on_load_safe side effects).
-        # Safety is monotone in age, so the oldest load not yet safe is
-        # the only candidate.
-        flags_map = self.rob.safety_flags()
-        for load in self.rob.loads:
-            if load.became_safe:
-                continue
-            flags = flags_map.get(load.seq)
-            if flags is not None and is_safe(self.scheme.safety, flags):
+        # Never skip past the deadlock detector's horizon: stepping at
+        # that cycle must still raise exactly as it would unskipped.
+        wake = self._last_progress_cycle + self.deadlock_window + 1
+        # An EU or the LSU finishes work next cycle.
+        for eu in self.eus:
+            finish = eu.next_finish
+            if finish is not None:
+                if finish <= nxt:
+                    return None
+                wake = min(wake, finish)
+        finish = self.lsu.next_finish
+        if finish is not None:
+            if finish <= nxt:
                 return None
-            break
+            wake = min(wake, finish)
         # The implicit-halt condition would fire.
         if (
             self.rob.empty
@@ -317,20 +343,51 @@ class Core:
             and self.lsu.outstanding() == 0
         ):
             return None
-        # Never skip past the deadlock detector's horizon: stepping at
-        # that cycle must still raise exactly as it would unskipped.
-        wake = self._last_progress_cycle + self.deadlock_window + 1
-        for eu in self.eus:
-            finish = eu.earliest_finish()
-            if finish is not None:
-                if finish <= nxt:
-                    return None
-                wake = min(wake, finish)
-        finish = self.lsu.earliest_completion()
-        if finish is not None:
-            if finish <= nxt:
+        # Fetch must be blocked (redirect pending, stalled, queue full,
+        # or program exhausted).
+        if self._pending_redirect is not None:
+            _, at_cycle = self._pending_redirect
+            if at_cycle <= nxt:
                 return None
-            wake = min(wake, finish)
+            wake = min(wake, at_cycle)
+        elif not self._halt_seen:
+            if nxt < self._fetch_stall_until:
+                wake = min(wake, self._fetch_stall_until)
+            elif (
+                len(self.fetch_queue) < self.config.fetch_queue_size
+                and self.fetch_pc < len(self.program)
+            ):
+                return None
+        if wake <= nxt:
+            return None
+        # Dispatch must be blocked (or have nothing to do).
+        if self.fetch_queue:
+            instr = self.fetch_queue[0]
+            if not self.rob.full:
+                oc = instr.opclass
+                needs_rs = oc in (
+                    OpClass.ALU,
+                    OpClass.BRANCH,
+                    OpClass.LOAD,
+                    OpClass.STORE,
+                )
+                if not needs_rs:
+                    return None
+                if self.rs.can_accept(instr) and not (
+                    oc is OpClass.LOAD and not self.lsu.can_accept()
+                ):
+                    return None
+        # A load would transition to safe (on_load_safe side effects).
+        # Safety is monotone in age, so the oldest load not yet safe is
+        # the only candidate.
+        flags_map = self.safety_flags
+        for load in self.rob.loads:
+            if load.became_safe:
+                continue
+            flags = flags_map.get(load.seq)
+            if flags is not None and is_safe(self.scheme.safety, flags):
+                return None
+            break
         # Every parked load must provably stay parked (in its state).
         if not self.lsu.parked_loads_keep_waiting(self):
             return None
@@ -351,40 +408,6 @@ class Core:
                     instr, flags_map, oldest_fence, ask_scheme=gate is None
                 ):
                     return None
-        # Dispatch must be blocked (or have nothing to do).
-        if self.fetch_queue:
-            instr = self.fetch_queue[0]
-            if not self.rob.full:
-                oc = instr.opclass
-                needs_rs = oc in (
-                    OpClass.ALU,
-                    OpClass.BRANCH,
-                    OpClass.LOAD,
-                    OpClass.STORE,
-                )
-                if not needs_rs:
-                    return None
-                if self.rs.can_accept(instr) and not (
-                    oc is OpClass.LOAD and not self.lsu.can_accept()
-                ):
-                    return None
-        # Fetch must be blocked (redirect pending, stalled, queue full,
-        # or program exhausted).
-        if self._pending_redirect is not None:
-            _, at_cycle = self._pending_redirect
-            if at_cycle <= nxt:
-                return None
-            wake = min(wake, at_cycle)
-        elif not self._halt_seen:
-            if nxt < self._fetch_stall_until:
-                wake = min(wake, self._fetch_stall_until)
-            elif (
-                len(self.fetch_queue) < self.config.fetch_queue_size
-                and self.fetch_pc < len(self.program)
-            ):
-                return None
-        if wake <= nxt:
-            return None
         return wake
 
     def _issue_blocked_next_cycle(
@@ -549,6 +572,12 @@ class Core:
         lsu = self.lsu
         cdb_enqueue = self.cdb.enqueue
         for eu in self.eus:
+            finish = eu.next_finish
+            if finish is None:
+                continue
+            if finish > cycle:
+                eu.busy_cycles += 1  # busy, nothing due: drain's tick
+                continue
             for instr in eu.drain_finished(cycle):
                 if instr.is_load and instr.load_state is None:
                     # AGU finished: hand the load to the memory system.

@@ -5,14 +5,24 @@ cycle regardless of in-flight work; the non-pipelined unit (port 0 by
 default) is busy for the entire latency of the operation it holds —
 this occupancy is the contention channel of the GDNPEU gadget (§3.2.2).
 
+Each unit keeps ``next_finish``, the earliest finish cycle of its
+in-flight work (``None`` when idle), current on issue, drain, abort and
+squash.  The core's writeback drains only the units due by the current
+cycle and charges every other busy unit its ``busy_cycles`` tick
+inline, so a cycle costs work per due completion, not per unit.
+
 Results that finish execution enter the CDB queue and are broadcast
 oldest-first, at most ``cdb_width`` per cycle; dependents observe a
 result strictly after its broadcast cycle (one-cycle wakeup delay).
+Under ``age`` arbitration the queue is kept in seq order as results
+enter it, so a broadcast takes its head without sorting.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.pipeline.config import PortConfig
@@ -33,6 +43,8 @@ class ExecutionUnit:
         self.port_index = port_index
         self.config = config
         self._in_flight: List[_InFlight] = []
+        #: Earliest in-flight finish cycle; None when idle.
+        self.next_finish: Optional[int] = None
         self._accepted_this_cycle: Optional[int] = None
         self.issues = 0
         self.busy_cycles = 0
@@ -56,22 +68,17 @@ class ExecutionUnit:
             raise RuntimeError(f"port {self.port_index} cannot accept at {cycle}")
         finish = cycle + latency
         self._in_flight.append(_InFlight(instr, finish))
+        if self.next_finish is None or finish < self.next_finish:
+            self.next_finish = finish
         self._accepted_this_cycle = cycle
         self.issues += 1
         return finish
 
-    def occupied_until(self) -> Optional[int]:
-        """Cycle the (non-pipelined) unit frees, or None when idle."""
-        if not self._in_flight:
-            return None
-        return max(op.finish_cycle for op in self._in_flight)
-
-    def earliest_finish(self) -> Optional[int]:
-        """Earliest in-flight completion, or None when idle (used by the
-        idle-cycle fast-forward to compute the next wake-up event)."""
-        if not self._in_flight:
-            return None
-        return min(op.finish_cycle for op in self._in_flight)
+    def _set_in_flight(self, in_flight: List[_InFlight]) -> None:
+        self._in_flight = in_flight
+        self.next_finish = (
+            min(op.finish_cycle for op in in_flight) if in_flight else None
+        )
 
     def note_skipped_cycles(self, count: int) -> None:
         """Account ``count`` fast-forwarded cycles: ``drain_finished``
@@ -87,14 +94,14 @@ class ExecutionUnit:
         return self._in_flight[0].instr
 
     def drain_finished(self, cycle: int) -> List[DynInstr]:
-        """Ops whose execution finished by ``cycle`` (removed here)."""
-        if not self._in_flight:
-            return []
+        """Ops whose execution finished by ``cycle`` (removed here), and
+        this cycle's ``busy_cycles`` tick when work stays in flight.
+        The core calls it only when ``next_finish <= cycle``."""
         done = [op for op in self._in_flight if op.finish_cycle <= cycle]
         if done:
-            self._in_flight = [
-                op for op in self._in_flight if op.finish_cycle > cycle
-            ]
+            self._set_in_flight(
+                [op for op in self._in_flight if op.finish_cycle > cycle]
+            )
         if self._in_flight:
             self.busy_cycles += 1
         drained = [op.instr for op in sorted(done, key=lambda o: o.instr.seq)]
@@ -114,14 +121,20 @@ class ExecutionUnit:
         """Kick an op off the unit (squash, or §5.4 'squashable EU')."""
         for op in self._in_flight:
             if op.instr.seq == instr.seq:
-                self._in_flight.remove(op)
+                self._set_in_flight([o for o in self._in_flight if o is not op])
                 return True
         return False
 
     def squash_younger_than(self, seq: int) -> List[DynInstr]:
         victims = [op.instr for op in self._in_flight if op.instr.seq > seq]
-        self._in_flight = [op for op in self._in_flight if op.instr.seq <= seq]
+        if victims:
+            self._set_in_flight(
+                [op for op in self._in_flight if op.instr.seq <= seq]
+            )
         return victims
+
+
+_SEQ = attrgetter("seq")
 
 
 class CommonDataBus:
@@ -157,15 +170,16 @@ class CommonDataBus:
         return len(self._queue)
 
     def enqueue(self, instr: DynInstr) -> None:
-        self._queue.append(instr)
+        if self.arbitration == "age":
+            bisect.insort(self._queue, instr, key=_SEQ)
+        else:
+            self._queue.append(instr)
 
     def broadcast(self) -> List[DynInstr]:
         """Pop up to ``width`` results for this cycle."""
         if not self._queue:
             return []
-        if self.arbitration == "age":
-            self._queue.sort(key=lambda i: i.seq)
-        else:
+        if self.arbitration == "port":
             self._queue.sort(key=lambda i: (i.static.port, i.seq))
         granted = self._queue[: self.width]
         self._queue = self._queue[self.width :]

@@ -23,6 +23,12 @@ from ``CacheHierarchy.wake_lines`` (every visible data access adds its
 line) plus the MSHR allocations made here; each pass clears them.
 Forward-parked loads, and every load under a scheme that polls, are
 re-evaluated every cycle.
+
+``next_finish`` is the earliest data-return cycle of the loads in
+flight (``None`` when none is), kept current as loads start, complete
+and are squashed: :meth:`LoadStoreUnit.collect_completions` returns at
+once before it, and ``Core.next_event_cycle`` reads it as the LSU's
+next wake-up event.
 """
 
 from __future__ import annotations
@@ -75,6 +81,8 @@ class LoadStoreUnit:
         self._occupancy = 0
         self._parked: List[DynInstr] = []  # age-ordered
         self._inflight: List[_InFlightLoad] = []
+        #: Earliest in-flight data return; None when nothing is out.
+        self.next_finish: Optional[int] = None
         #: Wake events since the last retry pass: lines this core's
         #: visible data accesses reached or that got an MSHR here, and
         #: loads that became safe.
@@ -107,6 +115,17 @@ class LoadStoreUnit:
         if self._occupancy == 0:
             raise RuntimeError("LSU slot released twice (occupancy already 0)")
         self._occupancy -= 1
+
+    def _start_flight(self, flight: _InFlightLoad) -> None:
+        self._inflight.append(flight)
+        if self.next_finish is None or flight.finish_cycle < self.next_finish:
+            self.next_finish = flight.finish_cycle
+
+    def _set_inflight(self, inflight: List[_InFlightLoad]) -> None:
+        self._inflight = inflight
+        self.next_finish = (
+            min(f.finish_cycle for f in inflight) if inflight else None
+        )
 
     def note_became_safe(self, load: DynInstr) -> None:
         """``load`` just became safe: wake it if it is parked."""
@@ -190,7 +209,7 @@ class LoadStoreUnit:
                 instr=load.name,
                 store=store_seq,
             )
-        self._inflight.append(
+        self._start_flight(
             _InFlightLoad(
                 load,
                 cycle + self.config.store_forward_latency,
@@ -230,7 +249,7 @@ class LoadStoreUnit:
             load.executed_invisibly = True
             load.load_state = LS_INFLIGHT
             self.stats_predicted += 1
-            self._inflight.append(
+            self._start_flight(
                 _InFlightLoad(
                     load,
                     cycle + self.config.store_forward_latency,
@@ -262,7 +281,7 @@ class LoadStoreUnit:
             load.executed_invisibly = True
         load.value = result.value
         load.load_state = LS_INFLIGHT
-        self._inflight.append(
+        self._start_flight(
             _InFlightLoad(load, cycle + result.latency, mshr_line, visible)
         )
 
@@ -330,12 +349,6 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     # idle-cycle fast-forward support (see Core.next_event_cycle)
     # ------------------------------------------------------------------
-    def earliest_completion(self) -> Optional[int]:
-        """Earliest in-flight data return, or None when nothing is out."""
-        if not self._inflight:
-            return None
-        return min(f.finish_cycle for f in self._inflight)
-
     def parked_loads(self) -> List[DynInstr]:
         return self._parked
 
@@ -401,10 +414,10 @@ class LoadStoreUnit:
 
     def collect_completions(self, cycle: int) -> List[DynInstr]:
         """Loads whose data returns this cycle (MSHRs released here)."""
-        done = [f for f in self._inflight if f.finish_cycle <= cycle]
-        if not done:
+        if self.next_finish is None or self.next_finish > cycle:
             return []
-        self._inflight = [f for f in self._inflight if f.finish_cycle > cycle]
+        done = [f for f in self._inflight if f.finish_cycle <= cycle]
+        self._set_inflight([f for f in self._inflight if f.finish_cycle > cycle])
         completed = []
         for f in sorted(done, key=lambda f: f.instr.seq):
             if f.mshr_line is not None:
@@ -423,7 +436,7 @@ class LoadStoreUnit:
                 continue
             if f.mshr_line is not None:
                 self.mshrs.drop_consumer(f.instr.seq)
-        self._inflight = survivors
+        self._set_inflight(survivors)
 
     def outstanding(self) -> int:
         return len(self._parked) + len(self._inflight)

@@ -14,6 +14,13 @@ cycle boundaries, where every stage has finished its bookkeeping):
   head to tail, and no retired entry lingers in the window.
 * **ROB indices** — the in-order load, store and conditional-branch
   indices behind the safety frontier equal the filtered entries.
+* **Carried safety frontier** — ``core.safety_flags``, built at the
+  end of the previous step, equals a fresh ``rob.safety_flags()``.
+* **Completion calendar** — each execution unit's and the LSU's
+  ``next_finish`` is the earliest finish cycle of its in-flight work
+  (``None`` when idle).
+* **CDB order** — under ``age`` arbitration the CDB queue is
+  seq-ascending, so a broadcast may take its head unsorted.
 * **RS age ordering** — the waiting list is strictly seq-ascending.
 * **RS ready list** — the list the issue stage walks is seq-ascending,
   holds exactly the waiting entries whose producers have all broadcast,
@@ -223,6 +230,9 @@ class InvariantSanitizer:
         self.cycles_checked += 1
         self._check_rob_order(core)
         self._check_rob_indices(core)
+        self._check_carried_frontier(core)
+        self._check_completion_calendar(core)
+        self._check_cdb_order(core)
         self._check_rs_order(core)
         self._check_rs_ready(core)
         self._check_parked_wakeup(core)
@@ -271,6 +281,48 @@ class InvariantSanitizer:
                     f"{[e.seq for e in expected]}",
                 )
 
+    def _check_carried_frontier(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        fresh = core.rob.safety_flags()
+        if core.safety_flags != fresh:
+            self._fail(
+                core,
+                f"carried safety frontier {core.safety_flags} is stale: "
+                f"the ROB gives {fresh}",
+            )
+
+    def _check_completion_calendar(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        units = [
+            (
+                f"EU port {eu.port_index}",
+                eu.next_finish,
+                [op.finish_cycle for op in eu._in_flight],
+            )
+            for eu in core.eus
+        ]
+        lsu = core.lsu
+        units.append(
+            ("LSU", lsu.next_finish, [f.finish_cycle for f in lsu._inflight])
+        )
+        for name, next_finish, finishes in units:
+            earliest = min(finishes, default=None)
+            if next_finish != earliest:
+                self._fail(
+                    core,
+                    f"{name} next_finish={next_finish}, but its earliest "
+                    f"in-flight finish is {earliest}",
+                )
+
+    def _check_cdb_order(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        cdb = core.cdb
+        if cdb.arbitration != "age":
+            return
+        seqs = [instr.seq for instr in cdb._queue]
+        if any(a >= b for a, b in zip(seqs, seqs[1:], strict=False)):
+            self._fail(core, f"CDB queue out of seq order: {seqs}")
+
     def _check_rs_order(self, core: "Core") -> None:
         self.invariant_checks += 1
         prev: Optional[int] = None
@@ -285,7 +337,7 @@ class InvariantSanitizer:
         self.invariant_checks += 1
         ready = core.rs.ready
         seqs = [e.seq for e in ready]
-        if any(a >= b for a, b in zip(seqs, seqs[1:])):
+        if any(a >= b for a, b in zip(seqs, seqs[1:], strict=False)):
             self._fail(core, f"RS ready list out of seq order: {seqs}")
         woken = [e for e in core.rs if not e.pending_sources]
         if [id(e) for e in ready] != [id(e) for e in woken]:

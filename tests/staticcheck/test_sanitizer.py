@@ -5,18 +5,21 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.harness import begin_victim_trial, run_victim_trial
-from repro.core.victims import victim_by_name
+from repro.core.victims import ATTACK_HIERARCHY, victim_by_name
+from repro.pipeline.execution_unit import ExecutionUnit
 from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.scheme_api import LoadDecision
 from repro.runner.runner import run_trial_spec
 from repro.runner.spec import TrialSpec
-from repro.schemes import scheme_names
+from repro.schemes import make_scheme, scheme_names
 from repro.schemes.fence import FenceDefense
 from repro.staticcheck import (
     InvariantSanitizer,
     InvariantViolation,
     compose_hooks,
 )
+from repro.system.machine import Machine
+from repro.workloads.synthetic import synthetic_suite
 
 #: Every scheme but ``priority``, whose §5.4 preemption charges a held RS
 #: slot twice (an open bug the sanitizer finds).
@@ -34,6 +37,21 @@ class TestSanitizedRuns:
         assert sanitizer is not None
         assert sanitizer.cycles_checked > 0
         assert sanitizer.invariant_checks > 0
+
+    def test_fig12_kernels_under_unsafe(self):
+        """Long kernels reach what the short victims do not: execution
+        units squashed with work in flight, and a stalled CDB queue that
+        results join out of seq order."""
+        for workload in synthetic_suite():
+            machine = Machine(num_cores=1, hierarchy_config=ATTACK_HIERARCHY)
+            for addr, value in workload.memory_image.items():
+                machine.hierarchy.memory.write(addr, value)
+            machine.warm_icache(0, workload.program)
+            core = machine.attach(0, workload.program, make_scheme("unsafe"))
+            sanitizer = InvariantSanitizer().attach(core)
+            machine.fault_injector = sanitizer
+            machine.run(until=lambda: core.halted, max_cycles=3_000_000)
+            assert core.halted and sanitizer.cycles_checked >= core.cycle
 
     def test_previews_are_exercised(self):
         result = run_victim_trial(
@@ -148,6 +166,48 @@ class TestSeededViolations:
             run_victim_trial(
                 victim_by_name("gdnpeu"), "fence-spectre", 1, sanitize=True
             )
+
+    def test_stale_frontier_raises(self):
+        """The frontier of the empty ROB the core was built with, carried
+        into a cycle whose ROB holds entries."""
+        setup = begin_victim_trial(victim_by_name("gdnpeu"), "unsafe", 1)
+        machine, core = setup.machine, setup.core
+        stale = core.safety_flags
+        while machine.cycle < 40:
+            machine.step()
+        assert stale != core.safety_flags
+        InvariantSanitizer().check_core(core)
+        core.safety_flags = stale
+        with pytest.raises(InvariantViolation, match="carried safety frontier"):
+            InvariantSanitizer().check_core(core)
+
+    def test_next_finish_one_cycle_late_raises(self, monkeypatch):
+        real = ExecutionUnit.issue
+
+        def issue_late(self, instr, cycle, latency):
+            finish = real(self, instr, cycle, latency)
+            self.next_finish += 1
+            return finish
+
+        monkeypatch.setattr(ExecutionUnit, "issue", issue_late)
+        with pytest.raises(InvariantViolation, match="next_finish"):
+            run_victim_trial(
+                victim_by_name("gdnpeu"), "unsafe", 1, sanitize=True
+            )
+
+    def test_lsu_next_finish_one_cycle_late_raises(self):
+        core = self.mid_run_core()
+        assert core.lsu.next_finish is not None
+        core.lsu.next_finish += 1
+        with pytest.raises(InvariantViolation, match="LSU next_finish"):
+            InvariantSanitizer().check_core(core)
+
+    def test_out_of_order_cdb_insert_raises(self):
+        core = self.mid_run_core()
+        older, younger = list(core.rob)[:2]
+        core.cdb._queue.extend([younger, older])
+        with pytest.raises(InvariantViolation, match="CDB queue out of seq order"):
+            InvariantSanitizer().check_core(core)
 
     def test_violation_carries_cycle_and_context(self):
         result = self.run_and_keep_handles()
