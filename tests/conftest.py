@@ -38,6 +38,22 @@ def hierarchy_config():
     return small_hierarchy_config()
 
 
+def kernel_machine(workload, scheme: str):
+    """A one-core machine ready to run a Fig. 12 kernel under ``scheme``
+    (memory image loaded, I-side warm), as ``run_workload`` builds it.
+    Returns (machine, core)."""
+    from repro.core.victims import ATTACK_HIERARCHY
+    from repro.schemes import make_scheme
+    from repro.system.machine import Machine
+
+    machine = Machine(num_cores=1, hierarchy_config=ATTACK_HIERARCHY)
+    for addr, value in workload.memory_image.items():
+        machine.hierarchy.memory.write(addr, value)
+    machine.warm_icache(0, workload.program)
+    core = machine.attach(0, workload.program, make_scheme(scheme))
+    return machine, core
+
+
 def run_on_scheme(
     program,
     scheme,

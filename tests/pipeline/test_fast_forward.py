@@ -9,12 +9,14 @@ per-cycle accounting.
 import pytest
 
 from repro.core.harness import prepare_machine
-from repro.core.victims import ATTACK_HIERARCHY, gdnpeu_victim, victim_by_name
+from repro.core.victims import gdnpeu_victim, victim_by_name
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline import Core
-from repro.schemes import make_scheme, scheme_names
+from repro.schemes import scheme_names
 from repro.system.machine import Machine
 from repro.workloads.synthetic import synthetic_suite, workload_by_name
+
+from tests.conftest import kernel_machine
 
 
 def _run_workload_core(name: str, fast_forward: bool) -> Core:
@@ -96,11 +98,7 @@ def test_mshr_blocked_cycles_count_each_load_once_per_cycle(fast_forward):
     pass read 264,254."""
     total = 0
     for workload in synthetic_suite():
-        machine = Machine(num_cores=1, hierarchy_config=ATTACK_HIERARCHY)
-        for addr, value in workload.memory_image.items():
-            machine.hierarchy.memory.write(addr, value)
-        machine.warm_icache(0, workload.program)
-        core = machine.attach(0, workload.program, make_scheme("unsafe"))
+        machine, core = kernel_machine(workload, "unsafe")
         machine.run(
             until=lambda: core.halted,
             max_cycles=3_000_000,

@@ -17,20 +17,19 @@ the Fig. 12 kernels under the three Fig. 12 schemes.
 import pytest
 
 from repro.core.harness import run_victim_trial
-from repro.core.victims import ATTACK_HIERARCHY, victim_by_name
+from repro.core.victims import victim_by_name
 from repro.isa import ProgramBuilder
 from repro.pipeline.core import Core
 from repro.pipeline.rob import EMPTY_FRONTIER
 from repro.pipeline.scheme_api import SpeculationScheme
 from repro.schemes import make_scheme
 from repro.schemes.registry import SCHEME_FACTORIES
-from repro.system.machine import Machine
 from repro.trace import Tracer, install_tracer
 from repro.trace.events import EventKind
 from repro.workloads import random_forward_gadget
 from repro.workloads.synthetic import synthetic_suite
 
-from tests.conftest import run_on_scheme, small_hierarchy_config
+from tests.conftest import kernel_machine, run_on_scheme, small_hierarchy_config
 from tests.pipeline.test_safety_frontier import BACKWARD_VICTIMS, FIG12_SCHEMES
 
 
@@ -101,11 +100,7 @@ def _trial(spec, scheme, secret):
 
 def _kernel(workload, scheme):
     def run(tracer):
-        machine = Machine(num_cores=1, hierarchy_config=ATTACK_HIERARCHY)
-        for addr, value in workload.memory_image.items():
-            machine.hierarchy.memory.write(addr, value)
-        machine.warm_icache(0, workload.program)
-        core = machine.attach(0, workload.program, make_scheme(scheme))
+        machine, core = kernel_machine(workload, scheme)
         install_tracer(tracer, machine=machine)
         machine.run(
             until=lambda: core.halted, max_cycles=3_000_000, fast_forward=True

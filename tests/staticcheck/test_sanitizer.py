@@ -5,21 +5,22 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.harness import begin_victim_trial, run_victim_trial
-from repro.core.victims import ATTACK_HIERARCHY, victim_by_name
+from repro.core.victims import victim_by_name
 from repro.pipeline.execution_unit import ExecutionUnit
 from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.scheme_api import LoadDecision
 from repro.runner.runner import run_trial_spec
 from repro.runner.spec import TrialSpec
-from repro.schemes import make_scheme, scheme_names
+from repro.schemes import scheme_names
 from repro.schemes.fence import FenceDefense
 from repro.staticcheck import (
     InvariantSanitizer,
     InvariantViolation,
     compose_hooks,
 )
-from repro.system.machine import Machine
 from repro.workloads.synthetic import synthetic_suite
+
+from tests.conftest import kernel_machine
 
 #: Every scheme but ``priority``, whose §5.4 preemption charges a held RS
 #: slot twice (an open bug the sanitizer finds).
@@ -43,11 +44,7 @@ class TestSanitizedRuns:
         units squashed with work in flight, and a stalled CDB queue that
         results join out of seq order."""
         for workload in synthetic_suite():
-            machine = Machine(num_cores=1, hierarchy_config=ATTACK_HIERARCHY)
-            for addr, value in workload.memory_image.items():
-                machine.hierarchy.memory.write(addr, value)
-            machine.warm_icache(0, workload.program)
-            core = machine.attach(0, workload.program, make_scheme("unsafe"))
+            machine, core = kernel_machine(workload, "unsafe")
             sanitizer = InvariantSanitizer().attach(core)
             machine.fault_injector = sanitizer
             machine.run(until=lambda: core.halted, max_cycles=3_000_000)
