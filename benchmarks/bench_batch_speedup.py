@@ -12,9 +12,14 @@ faster than the ``fork=True`` path — with bit-identical outcomes
 
 Two cases are measured: the stream-inert sweep, and the same sweep on a
 DRAM-jittered hierarchy (each lane hierarchy draws its own jitter from
-its counter stream).  The ``BENCH_batch_speedup.json`` artifact carries
-both speedups so CI can gate on the >=2x floor without parsing prose.
+its counter stream).  Each path is timed over several rounds whose
+order alternates, and each ratio is the median of the per-round ratios,
+so one slow sweep of 30-170 ms cannot decide the floor.  The
+``BENCH_batch_speedup.json`` artifact carries both speedups and every
+round's ratios so CI can gate on the >=2x floor without parsing prose.
 """
+
+import statistics
 
 import pytest
 
@@ -46,37 +51,82 @@ def _specs(**common):
     ]
 
 
+#: Rounds per case; each ratio is the median over them.
+ROUNDS = 5
+
+#: The three paths, in the order of an even round (odd rounds reverse
+#: it, so neither fork nor batch always runs first).
+PATHS = ("cold", "fork", "batch")
+
+
+def _runner(path):
+    if path == "cold":
+        return SerialSweepRunner()
+    if path == "fork":
+        return SerialSweepRunner(fork=True)
+    return SerialSweepRunner(fork=True, batch=True)
+
+
+def _measure_round(specs, reverse):
+    """Seconds per path for one round; every path's outcomes are
+    asserted bit-identical to cold, not just statistically alike."""
+    outcomes, seconds = {}, {}
+    for path in reversed(PATHS) if reverse else PATHS:
+        outcomes[path], seconds[path] = timed_outcomes(_runner(path), specs)
+    assert outcomes["fork"] == outcomes["cold"]
+    assert outcomes["batch"] == outcomes["cold"]
+    return seconds
+
+
 def _measure_case(specs):
-    cold, cold_t = timed_outcomes(SerialSweepRunner(), specs)
-    forked, fork_t = timed_outcomes(SerialSweepRunner(fork=True), specs)
-    assert forked == cold
-    batched, batch_t = timed_outcomes(
-        SerialSweepRunner(fork=True, batch=True), specs
-    )
-    assert batched == cold  # bit-identical, not just statistically alike
-    return cold_t, fork_t, batch_t
+    """Every round's seconds and ratios, the batch path first on odd
+    rounds."""
+    rounds = []
+    for i in range(ROUNDS):
+        t = _measure_round(specs, reverse=i % 2 == 1)
+        rounds.append(
+            {
+                "batch_first": i % 2 == 1,
+                "cold_s": round(t["cold"], 4),
+                "fork_s": round(t["fork"], 4),
+                "batch_s": round(t["batch"], 4),
+                "speedup_over_fork": round(t["fork"] / t["batch"], 4),
+                "speedup_over_cold": round(t["cold"] / t["batch"], 4),
+            }
+        )
+    return rounds
 
 
-def _case_lines(label, trials, cold_t, fork_t, batch_t):
+def _median(rounds, key):
+    return statistics.median(r[key] for r in rounds)
+
+
+def _case_lines(label, trials, rounds):
+    cold_t, fork_t = _median(rounds, "cold_s"), _median(rounds, "fork_s")
+    batch_t = _median(rounds, "batch_s")
+    over_fork = _median(rounds, "speedup_over_fork")
     return [
-        f"{label} ({trials} trials):",
-        f"  cold sweep:                 {cold_t:.2f} s",
-        f"  fork=True sweep:            {fork_t:.2f} s  "
+        f"{label} ({trials} trials; median of {len(rounds)} rounds):",
+        f"  cold sweep:                 {cold_t:.3f} s",
+        f"  fork=True sweep:            {fork_t:.3f} s  "
         f"({cold_t / fork_t:.2f}x over cold)",
-        f"  fork+batch=True sweep:      {batch_t:.2f} s  "
-        f"({fork_t / batch_t:.2f}x over fork, budget >=2x; "
-        f"{cold_t / batch_t:.2f}x over cold)",
+        f"  fork+batch=True sweep:      {batch_t:.3f} s  "
+        f"({over_fork:.2f}x over fork, budget >=2x; "
+        f"{_median(rounds, 'speedup_over_cold'):.2f}x over cold)",
+        "  over fork, per round:       "
+        + ", ".join(f"{r['speedup_over_fork']:.2f}" for r in rounds),
     ]
 
 
-def _case_json(trials, cold_t, fork_t, batch_t):
+def _case_json(trials, rounds):
     return {
         "trials": trials,
-        "cold_s": round(cold_t, 4),
-        "fork_s": round(fork_t, 4),
-        "batch_s": round(batch_t, 4),
-        "speedup_over_fork": round(fork_t / batch_t, 4),
-        "speedup_over_cold": round(cold_t / batch_t, 4),
+        "cold_s": _median(rounds, "cold_s"),
+        "fork_s": _median(rounds, "fork_s"),
+        "batch_s": _median(rounds, "batch_s"),
+        "speedup_over_fork": _median(rounds, "speedup_over_fork"),
+        "speedup_over_cold": _median(rounds, "speedup_over_cold"),
+        "rounds": rounds,
     }
 
 
@@ -88,9 +138,9 @@ def test_bench_batch_speedup(benchmark, tmp_path):
     def measure():
         return _measure_case(plain), _measure_case(jittered)
 
-    (plain_t, jitter_t) = benchmark.pedantic(measure, rounds=1, iterations=1)
-    plain_x = plain_t[1] / plain_t[2]
-    jitter_x = jitter_t[1] / jitter_t[2]
+    (plain_r, jitter_r) = benchmark.pedantic(measure, rounds=1, iterations=1)
+    plain_x = _median(plain_r, "speedup_over_fork")
+    jitter_x = _median(jitter_r, "speedup_over_fork")
     emit_report(
         "batch_speedup",
         "\n".join(
@@ -98,12 +148,14 @@ def test_bench_batch_speedup(benchmark, tmp_path):
                 "Batched lockstep sweep speedup "
                 "(gdnpeu x dom-nontso x 2 secrets "
                 f"x {len(REF_CYCLES)} reference-read cycles; outcomes "
-                "asserted bit-identical across all three paths):",
-                *_case_lines("stream-inert sweep", len(plain), *plain_t),
+                "asserted bit-identical across all three paths; each "
+                "ratio is the median of per-round ratios, with the path "
+                "order reversed on odd rounds):",
+                *_case_lines("stream-inert sweep", len(plain), plain_r),
                 *_case_lines(
                     f"dram_jitter={JITTERED.dram_jitter} sweep",
                     len(jittered),
-                    *jitter_t,
+                    jitter_r,
                 ),
                 "",
                 "Relabeling (fork=True) merges only inert-seed variants, "
@@ -120,8 +172,8 @@ def test_bench_batch_speedup(benchmark, tmp_path):
             "budget_min_speedup_over_fork": 2.0,
             "ref_cycles": len(REF_CYCLES),
             "cases": {
-                "plain": _case_json(len(plain), *plain_t),
-                "jittered": _case_json(len(jittered), *jitter_t),
+                "plain": _case_json(len(plain), plain_r),
+                "jittered": _case_json(len(jittered), jitter_r),
             },
         },
     )

@@ -200,10 +200,16 @@ def test_bench_snapshot_fork_and_cache_speedup(benchmark, tmp_path):
     then replays the whole sweep without simulating at all.  The same
     grid at ``dram_jitter=5`` is recorded without a gate: live jitter
     makes every seed matter, so nothing is relabeled there.
+
+    Each ratio is the median of five rounds.  A round times cold, then
+    fork (publishing to a fresh cache directory), then the warm-cache
+    replay of that directory; odd rounds run fork before cold, so
+    neither side always runs first.
     """
     from repro.memory.hierarchy import HierarchyConfig
     from repro.runner import SerialSweepRunner
 
+    rounds = 5
     seeds = (1, 2, 3, 4, 5)
     specs = sweep_grid(["gdnpeu"], SWEEP_SCHEMES, seeds=seeds)
     jittered = sweep_grid(
@@ -213,31 +219,61 @@ def test_bench_snapshot_fork_and_cache_speedup(benchmark, tmp_path):
         hierarchy_config=HierarchyConfig(dram_jitter=5),
     )
 
-    def measure():
-        cold, cold_t = timed_outcomes(SerialSweepRunner(), specs)
-        forked, fork_t = timed_outcomes(
-            SerialSweepRunner(fork=True, cache_dir=tmp_path), specs
+    def cold_and_fork(grid, fork_first, cache_dir=None):
+        """((outcomes, s) cold, (outcomes, s) fork), run in the round's
+        order; the fork run publishes to ``cache_dir`` when given."""
+        sides = {
+            "cold": lambda: timed_outcomes(SerialSweepRunner(), grid),
+            "fork": lambda: timed_outcomes(
+                SerialSweepRunner(fork=True, cache_dir=cache_dir), grid
+            ),
+        }
+        order = ("fork", "cold") if fork_first else ("cold", "fork")
+        done = {side: sides[side]() for side in order}
+        return done["cold"], done["fork"]
+
+    def measure_round(i):
+        fork_first = i % 2 == 1
+        cache_dir = tmp_path / f"round{i}"
+        (cold, cold_t), (forked, fork_t) = cold_and_fork(
+            specs, fork_first, cache_dir
         )
         assert forked == cold  # bit-identical, not just statistically alike
         cached, cache_t = timed_outcomes(
-            SerialSweepRunner(cache_dir=tmp_path), specs
+            SerialSweepRunner(cache_dir=cache_dir), specs
         )
         assert cached == cold
-        jitter_cold, jitter_cold_t = timed_outcomes(
-            SerialSweepRunner(), jittered
-        )
-        jitter_forked, jitter_fork_t = timed_outcomes(
-            SerialSweepRunner(fork=True), jittered
+        (jitter_cold, jitter_cold_t), (jitter_forked, jitter_fork_t) = (
+            cold_and_fork(jittered, fork_first)
         )
         assert jitter_forked == jitter_cold
-        return cold_t, fork_t, cache_t, jitter_cold_t, jitter_fork_t
+        return {
+            "fork_first": fork_first,
+            "cold_s": round(cold_t, 4),
+            "fork_s": round(fork_t, 4),
+            "cache_s": round(cache_t, 4),
+            "jitter_cold_s": round(jitter_cold_t, 4),
+            "jitter_fork_s": round(jitter_fork_t, 4),
+            "fork_speedup": round(cold_t / fork_t, 4),
+            "cache_speedup": round(cold_t / cache_t, 4),
+            "jitter_fork_speedup": round(jitter_cold_t / jitter_fork_t, 4),
+        }
 
-    cold_t, fork_t, cache_t, jitter_cold_t, jitter_fork_t = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    results = benchmark.pedantic(
+        lambda: [measure_round(i) for i in range(rounds)], rounds=1, iterations=1
     )
-    fork_x = cold_t / fork_t
-    cache_x = cold_t / cache_t
-    jitter_x = jitter_cold_t / jitter_fork_t
+    median = {
+        key: statistics.median(r[key] for r in results)
+        for key in results[0]
+        if key != "fork_first"
+    }
+    cold_t, fork_t, cache_t = median["cold_s"], median["fork_s"], median["cache_s"]
+    fork_x, cache_x = median["fork_speedup"], median["cache_speedup"]
+    jitter_x = median["jitter_fork_speedup"]
+
+    def per_round(key):
+        return ", ".join(f"{r[key]:.2f}" for r in results)
+
     emit_report(
         "snapshot_speedup",
         "\n".join(
@@ -245,16 +281,19 @@ def test_bench_snapshot_fork_and_cache_speedup(benchmark, tmp_path):
                 "Relabel (fork=True) + trial-cache speedup "
                 f"({len(specs)} trials: gdnpeu x {len(SWEEP_SCHEMES)} "
                 f"schemes x 2 secrets x {len(seeds)} seeds; outcomes "
-                "asserted bit-identical to cold execution):",
-                f"  cold sweep:              {cold_t:.2f} s",
-                f"  fork=True sweep:         {fork_t:.2f} s  "
-                f"({fork_x:.2f}x, budget >=2x)",
+                "asserted bit-identical to cold execution; medians of "
+                f"{rounds} rounds, fork before cold on odd rounds):",
+                f"  cold sweep:              {cold_t:.3f} s",
+                f"  fork=True sweep:         {fork_t:.3f} s  "
+                f"({fork_x:.2f}x, budget >=2x; rounds {per_round('fork_speedup')})",
                 f"  warm-cache replay:       {cache_t * 1e3:.1f} ms  "
-                f"({cache_x:.0f}x, budget >=10x)",
+                f"({cache_x:.0f}x, budget >=10x; rounds "
+                + ", ".join(f"{r['cache_speedup']:.0f}" for r in results)
+                + ")",
                 "dram_jitter=5, same grid (recorded, no budget):",
-                f"  cold sweep:              {jitter_cold_t:.2f} s",
-                f"  fork=True sweep:         {jitter_fork_t:.2f} s  "
-                f"({jitter_x:.2f}x)",
+                f"  cold sweep:              {median['jitter_cold_s']:.3f} s",
+                f"  fork=True sweep:         {median['jitter_fork_s']:.3f} s  "
+                f"({jitter_x:.2f}x; rounds {per_round('jitter_fork_speedup')})",
                 "",
                 "Relabeling runs the first spec of each group of "
                 "inert-seed variants and relabels its summary for the "
@@ -267,21 +306,22 @@ def test_bench_snapshot_fork_and_cache_speedup(benchmark, tmp_path):
         data={
             "budget_min_fork_speedup": 2.0,
             "budget_min_cache_speedup": 10.0,
+            "rounds": results,
             "cases": {
                 "plain": {
                     "trials": len(specs),
-                    "cold_s": round(cold_t, 4),
-                    "fork_s": round(fork_t, 4),
-                    "cache_s": round(cache_t, 4),
-                    "fork_speedup": round(fork_x, 4),
-                    "cache_speedup": round(cache_x, 4),
+                    "cold_s": cold_t,
+                    "fork_s": fork_t,
+                    "cache_s": cache_t,
+                    "fork_speedup": fork_x,
+                    "cache_speedup": cache_x,
                 },
                 "jittered": {
                     "trials": len(jittered),
                     "dram_jitter": 5,
-                    "cold_s": round(jitter_cold_t, 4),
-                    "fork_s": round(jitter_fork_t, 4),
-                    "fork_speedup": round(jitter_x, 4),
+                    "cold_s": median["jitter_cold_s"],
+                    "fork_s": median["jitter_fork_s"],
+                    "fork_speedup": jitter_x,
                 },
             },
         },

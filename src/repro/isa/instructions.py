@@ -21,7 +21,7 @@ others    unused
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 
@@ -36,6 +36,11 @@ class OpClass(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
+
+#: The classes that take a reservation-station slot.
+_RS_CLASSES = frozenset(
+    (OpClass.ALU, OpClass.BRANCH, OpClass.LOAD, OpClass.STORE)
+)
 
 #: Default execution-port assignment for ALU operations.
 DEFAULT_ALU_PORT = 1
@@ -61,6 +66,13 @@ class Instruction:
         target: branch-taken destination label (resolved by the program).
         value_src: register holding the value to store (STORE only).
         micro_ops: weight used when accounting reservation-station slots.
+
+    ``__post_init__`` also decodes a few facts the pipeline reads for
+    every dynamic instance, instead of re-testing the opclass each time
+    (``is_load``, ``needs_rs``, ``rename_srcs``, ``label``, ...; see the
+    fields below).  They are not constructor arguments, are left out of
+    ``==``, ``hash`` and ``repr``, and ``dataclasses.replace`` derives
+    them afresh.
     """
 
     opclass: OpClass
@@ -81,19 +93,59 @@ class Instruction:
     #: transmitter class of §3.2.2 / [19].
     dynamic_latency: Optional[Callable[..., int]] = None
 
+    # Decoded facts, set by __post_init__ (see the class docstring).
+    is_load: bool = field(init=False, repr=False, compare=False)
+    is_store: bool = field(init=False, repr=False, compare=False)
+    is_branch: bool = field(init=False, repr=False, compare=False)
+    #: A conditional branch: indexed by the ROB, casts a speculative
+    #: shadow until it resolves.
+    cond_branch: bool = field(init=False, repr=False, compare=False)
+    #: Takes a reservation-station slot (ALU, BRANCH, LOAD, STORE); the
+    #: other classes complete at dispatch.
+    needs_rs: bool = field(init=False, repr=False, compare=False)
+    #: Register rename maps to this instruction: ``dst``, or ``None``
+    #: for a store.
+    rename_dst: Optional[str] = field(init=False, repr=False, compare=False)
+    #: Registers read at rename: ``srcs``, then a store's ``value_src``.
+    rename_srcs: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: Trace and timeline tag: ``name``, or the opclass value.
+    label: str = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not isinstance(self.srcs, tuple):
             object.__setattr__(self, "srcs", tuple(self.srcs))
-        if self.opclass is OpClass.BRANCH and self.target is None:
+        opclass = self.opclass
+        is_store = opclass is OpClass.STORE
+        is_branch = opclass is OpClass.BRANCH
+        value_src = self.value_src
+        if is_branch and self.target is None:
             raise ValueError("branch instruction requires a target label")
-        if self.opclass is OpClass.STORE and self.value_src is None:
+        if is_store and value_src is None:
             raise ValueError("store instruction requires a value_src")
         if self.latency < 1:
             raise ValueError("latency must be >= 1 cycle")
+        srcs = self.srcs
+        # object.__setattr__, as the frozen dataclass's own __init__
+        # does.  Writing through vars(self) instead would turn the
+        # instance's attribute storage into a plain dict, which makes
+        # every later attribute read several times slower.
+        decode = object.__setattr__
+        decode(self, "is_load", opclass is OpClass.LOAD)
+        decode(self, "is_store", is_store)
+        decode(self, "is_branch", is_branch)
+        decode(self, "cond_branch", is_branch and not self.unconditional)
+        decode(self, "needs_rs", opclass in _RS_CLASSES)
+        decode(self, "rename_dst", None if is_store else self.dst)
+        decode(
+            self,
+            "rename_srcs",
+            srcs + (value_src,) if is_store and value_src is not None else srcs,
+        )
+        decode(self, "label", self.name or opclass.value)
 
     @property
     def is_memory(self) -> bool:
-        return self.opclass in (OpClass.LOAD, OpClass.STORE)
+        return self.is_load or self.is_store
 
     @property
     def writes_register(self) -> bool:
@@ -101,7 +153,7 @@ class Instruction:
 
     def describe(self) -> str:
         """Short human-readable rendering for traces."""
-        parts = [self.name or self.opclass.value]
+        parts = [self.label]
         if self.dst:
             parts.append(f"-> {self.dst}")
         if self.srcs:

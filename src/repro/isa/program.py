@@ -78,6 +78,15 @@ class Program:
         """Code address of an instruction slot."""
         return self.code_base + slot * self.inst_size
 
+    def slot_addresses(self) -> range:
+        """Code address of every slot, indexed by slot: the fetch stage
+        reads it instead of calling :meth:`address_of_slot` per fetch."""
+        return range(
+            self.address_of_slot(0),
+            self.address_of_slot(len(self.instructions)),
+            self.inst_size,
+        )
+
     def slot_of_address(self, addr: int) -> int:
         offset = addr - self.code_base
         if offset % self.inst_size:

@@ -31,6 +31,13 @@ Each execution unit and the LSU keep ``next_finish``, their earliest
 in-flight finish cycle, so writeback drains only the units due this
 cycle and the fast-forward check reads each unit's next completion in
 O(1).
+
+Every stage reads the facts each static instruction decoded once, when
+it was built (``needs_rs``, ``is_load``, ``rename_dst``,
+``rename_srcs``, ...; see :class:`~repro.isa.instructions.Instruction`),
+and fetch reads each slot's code address from a table built with the
+core, so no dynamic instruction re-derives a fixed fact on its way
+through fetch, dispatch, rename, issue and retire.
 """
 
 from __future__ import annotations
@@ -155,6 +162,8 @@ class Core:
         self.config = config or CoreConfig()
         self.predictor = predictor or TwoBitPredictor()
         self.regfile: Dict[str, int] = dict(registers or {})
+        #: Code address of each program slot, read by fetch.
+        self._slot_addrs = program.slot_addresses()
 
         self.rob = ROB(self.config.rob_size)
         self.rs = ReservationStation(self.config.rs_size)
@@ -364,17 +373,11 @@ class Core:
         if self.fetch_queue:
             instr = self.fetch_queue[0]
             if not self.rob.full:
-                oc = instr.opclass
-                needs_rs = oc in (
-                    OpClass.ALU,
-                    OpClass.BRANCH,
-                    OpClass.LOAD,
-                    OpClass.STORE,
-                )
-                if not needs_rs:
+                static = instr.static
+                if not static.needs_rs:
                     return None
                 if self.rs.can_accept(instr) and not (
-                    oc is OpClass.LOAD and not self.lsu.can_accept()
+                    static.is_load and not self.lsu.can_accept()
                 ):
                     return None
         # A load would transition to safe (on_load_safe side effects).
@@ -473,14 +476,7 @@ class Core:
                 self.stats.rob_full_stalls += count
             else:
                 instr = self.fetch_queue[0]
-                oc = instr.opclass
-                needs_rs = oc in (
-                    OpClass.ALU,
-                    OpClass.BRANCH,
-                    OpClass.LOAD,
-                    OpClass.STORE,
-                )
-                if needs_rs and not self.rs.can_accept(instr):
+                if instr.static.needs_rs and not self.rs.can_accept(instr):
                     self.stats.rs_full_stalls += count
 
     # ==================================================================
@@ -524,11 +520,12 @@ class Core:
     # ==================================================================
     def _retire(self) -> None:
         budget = self.config.retire_width
-        while budget > 0 and not self.rob.empty:
-            head = self.rob.head()
-            if head.phase is not Phase.COMPLETED:
+        rob = self.rob
+        while budget > 0:
+            head = rob.head()
+            if head is None or head.phase is not Phase.COMPLETED:
                 break
-            self.rob.pop_head()
+            rob.pop_head()
             head.phase = Phase.RETIRED
             if self.tracer is not None:
                 self.tracer.emit(
@@ -538,7 +535,8 @@ class Core:
                     instr=head.name,
                 )
             self._last_progress_cycle = self.cycle
-            if head.is_store:
+            static = head.static
+            if static.is_store:
                 if head.addr is None:
                     # Explicit, not an assert: survives ``python -O``.
                     raise RuntimeError(
@@ -548,18 +546,18 @@ class Core:
                 self.hierarchy.write(
                     self.core_id, head.addr, head.value or 0, cycle=self.cycle
                 )
-            dst = head.static.dst
-            if dst is not None and not head.is_store:
+            dst = static.rename_dst
+            if dst is not None:
                 self.regfile[dst] = head.value if head.value is not None else 0
                 if self._producers.get(dst) == head.seq:
                     del self._producers[dst]
-            if head.is_load:
+            if static.is_load:
                 self.lsu.release_slot()
             self._fences.discard(head.seq)
             self.rs.release_held(head.seq)
             self.scheme.on_retire(self, head)
             self.stats.retired += 1
-            if head.opclass is OpClass.HALT:
+            if static.opclass is OpClass.HALT:
                 self.halted = True
                 return
             budget -= 1
@@ -579,7 +577,7 @@ class Core:
                 eu.busy_cycles += 1  # busy, nothing due: drain's tick
                 continue
             for instr in eu.drain_finished(cycle):
-                if instr.is_load and instr.load_state is None:
+                if instr.static.is_load and instr.load_state is None:
                     # AGU finished: hand the load to the memory system.
                     lsu.submit(self, instr, cycle)
                 else:
@@ -598,12 +596,13 @@ class Core:
                     seq=instr.seq,
                     instr=instr.name,
                 )
-            if instr.static.dst is not None or instr.is_load:
+            static = instr.static
+            if static.dst is not None or static.is_load:
                 self._scoreboard[instr.seq] = (instr.value, cycle)
                 waiters = self._waiters.pop(instr.seq, None)
                 if waiters is not None:
                     self._wake(waiters, instr.value, cycle + 1)
-            if instr.is_branch:
+            if static.is_branch:
                 self._resolve_branch(instr)
 
     def _wake(
@@ -671,15 +670,15 @@ class Core:
         for instr in fq_squashed:
             instr.phase = Phase.SQUASHED
         for instr in squashed:
-            if instr.is_load:
+            if instr.static.is_load:
                 self.lsu.release_slot()
             self._scoreboard.pop(instr.seq, None)
             self._waiters.pop(instr.seq, None)
         self._fences = {s for s in self._fences if s <= seq}
         self._producers = {}
         for entry in self.rob:
-            dst = entry.static.dst
-            if dst is not None and not entry.is_store:
+            dst = entry.static.rename_dst
+            if dst is not None:
                 self._producers[dst] = entry.seq
         self._pending_redirect = (
             target,
@@ -775,20 +774,21 @@ class Core:
 
     def _do_issue(self, instr: DynInstr, eu: ExecutionUnit) -> None:
         values = instr.source_values()
-        oc = instr.opclass
-        latency = instr.static.latency
-        if instr.static.dynamic_latency is not None:
+        static = instr.static
+        oc = static.opclass
+        latency = static.latency
+        if static.dynamic_latency is not None:
             # Operand-dependent execution time (a transmitter, §3.2.2).
-            latency = max(1, instr.static.dynamic_latency(*values))
+            latency = max(1, static.dynamic_latency(*values))
         if oc is OpClass.ALU:
-            instr.value = instr.static.compute(*values)
+            instr.value = static.compute(*values)
         elif oc is OpClass.BRANCH:
-            instr.actual_taken = bool(instr.static.compute(*values))
+            instr.actual_taken = bool(static.compute(*values))
         elif oc is OpClass.LOAD:
-            instr.addr = instr.static.compute(*values)
+            instr.addr = static.compute(*values)
             latency = 1  # AGU; memory latency comes from the LSU
         elif oc is OpClass.STORE:
-            instr.addr = instr.static.compute(*values[:-1])
+            instr.addr = static.compute(*values[:-1])
             instr.value = values[-1]
             latency = 1
         hold = self.scheme.hold_rs_until_safe
@@ -828,27 +828,34 @@ class Core:
     # ==================================================================
     def _dispatch(self) -> None:
         budget = self.config.dispatch_width
-        while budget > 0 and self.fetch_queue:
-            instr = self.fetch_queue[0]
-            if self.rob.full:
+        fetch_queue = self.fetch_queue
+        rob = self.rob
+        rs = self.rs
+        # Dispatch is the only stage that fills the ROB, and nothing in
+        # this loop drains it, so its free room is counted down locally.
+        rob_room = rob.size - len(rob)
+        while budget > 0 and fetch_queue:
+            instr = fetch_queue[0]
+            if rob_room <= 0:
                 self.stats.rob_full_stalls += 1
                 return
-            oc = instr.opclass
-            needs_rs = oc in (OpClass.ALU, OpClass.BRANCH, OpClass.LOAD, OpClass.STORE)
+            static = instr.static
+            needs_rs = static.needs_rs
             if needs_rs:
-                if not self.rs.can_accept(instr):
+                if not rs.can_accept(instr):
                     self.stats.rs_full_stalls += 1
                     return
-                if oc is OpClass.LOAD and not self.lsu.can_accept():
+                if static.is_load and not self.lsu.can_accept():
                     return
-            self.fetch_queue.popleft()
+            fetch_queue.popleft()
             self._rename(instr)
-            if oc is OpClass.STORE and not instr.static.srcs:
+            if static.is_store and not static.srcs:
                 # Register-free store address: resolved at dispatch (an
                 # immediate AGU µop), so it never blocks younger loads
                 # on memory disambiguation.
-                instr.addr = instr.static.compute()
-            self.rob.push(instr)
+                instr.addr = static.compute()
+            rob.push(instr)
+            rob_room -= 1
             instr.phase = Phase.DISPATCHED
             if self.tracer is not None:
                 self.tracer.emit(
@@ -859,11 +866,11 @@ class Core:
                 )
             self.stats.dispatched += 1
             if needs_rs:
-                self.rs.insert(instr)
-                if oc is OpClass.LOAD:
+                rs.insert(instr)
+                if static.is_load:
                     self.lsu.allocate_slot()
-                dst = instr.static.dst
-                if dst is not None and not instr.is_store:
+                dst = static.rename_dst
+                if dst is not None:
                     self._producers[dst] = instr.seq
             else:
                 instr.phase = Phase.COMPLETED
@@ -876,7 +883,7 @@ class Core:
                         seq=instr.seq,
                         instr=instr.name,
                     )
-                if oc is OpClass.FENCE:
+                if static.opclass is OpClass.FENCE:
                     self._fences.add(instr.seq)
             budget -= 1
 
@@ -885,23 +892,24 @@ class Core:
         broadcast is read from the scoreboard now; any other waits for
         the broadcast (see :meth:`_wake`)."""
         sources: List[SourceOperand] = []
-        regs = list(instr.static.srcs)
-        if instr.is_store:
-            regs.append(instr.static.value_src)  # type: ignore[arg-type]
-        for reg in regs:
-            producer = self._producers.get(reg)
+        producers = self._producers
+        scoreboard = self._scoreboard
+        for reg in instr.static.rename_srcs:
+            producer = producers.get(reg)
             if producer is None:
                 sources.append(SourceOperand(reg, None, self.regfile.get(reg, 0)))
                 continue
             src = SourceOperand(reg, producer)
             sources.append(src)
-            entry = self._scoreboard.get(producer)
+            entry = scoreboard.get(producer)
             if entry is None:
                 self._waiters.setdefault(producer, []).append((instr, src))
                 instr.pending_sources += 1
             else:
                 src.value = entry[0]
-                instr.ready_cycle = max(instr.ready_cycle, entry[1] + 1)
+                ready = entry[1] + 1
+                if ready > instr.ready_cycle:
+                    instr.ready_cycle = ready
         instr.sources = sources
 
     # ==================================================================
@@ -921,18 +929,19 @@ class Core:
             return
         budget = self.config.fetch_width
         line_size = self.hierarchy.llc.layout.line_size
-        program = self.program
+        instructions = self.program.instructions
+        slot_addrs = self._slot_addrs
         fetch_queue = self.fetch_queue
         queue_limit = self.config.fetch_queue_size
-        program_len = len(program)
+        program_len = len(instructions)
         while (
             budget > 0
             and len(fetch_queue) < queue_limit
             and self.fetch_pc < program_len
         ):
             slot = self.fetch_pc
-            static = program.at(slot)
-            pc_addr = program.address_of_slot(slot)
+            static = instructions[slot]
+            pc_addr = slot_addrs[slot]
             line = pc_addr & ~(line_size - 1)
             if line not in self._fetch_buffer:
                 speculative = self._fetch_is_speculative()
@@ -950,19 +959,19 @@ class Core:
                     self.stats.icache_miss_stalls += 1
                     return
             self._seq += 1
-            dyn = DynInstr(seq=self._seq, slot=slot, static=static, pc_addr=pc_addr)
+            dyn = DynInstr(self._seq, slot, static, pc_addr)
             if self.tracer is not None:
                 self.tracer.emit(
                     EventKind.FETCH,
                     cycle=self.cycle,
                     seq=dyn.seq,
-                    instr=dyn.name,
+                    instr=static.label,
                     slot=slot,
                 )
-            self.fetch_queue.append(dyn)
+            fetch_queue.append(dyn)
             self.stats.fetched += 1
             budget -= 1
-            if static.opclass is OpClass.BRANCH:
+            if static.is_branch:
                 if static.unconditional:
                     predicted = True
                 else:

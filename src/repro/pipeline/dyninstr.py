@@ -63,36 +63,34 @@ class DynInstr:
     last_decision: Optional[str] = None
 
     # ------------------------------------------------------------------
+    # Static predicates: each reads one fact the Instruction decoded
+    # when it was built (see repro.isa.instructions.Instruction).
     @property
     def opclass(self) -> OpClass:
         return self.static.opclass
 
     @property
     def is_load(self) -> bool:
-        return self.static.opclass is OpClass.LOAD
+        return self.static.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.static.opclass is OpClass.STORE
+        return self.static.is_store
 
     @property
     def is_branch(self) -> bool:
-        return self.static.opclass is OpClass.BRANCH
+        return self.static.is_branch
 
     @property
     def is_unresolved_branch(self) -> bool:
         """Casts a speculative shadow: a conditional branch that has not
         resolved.  Unconditional jumps have a statically known target
         and never mispredict, so they cast no shadow."""
-        return (
-            self.is_branch
-            and not self.static.unconditional
-            and not self.resolved
-        )
+        return self.static.cond_branch and not self.resolved
 
     @property
     def name(self) -> str:
-        return self.static.name or self.static.opclass.value
+        return self.static.label
 
     def source_values(self) -> List[int]:
         values = []

@@ -76,21 +76,19 @@ class ReservationStation:
     def occupied_micro_ops(self) -> int:
         return self._occupied
 
-    @property
-    def free_micro_ops(self) -> int:
-        return self.size - self._occupied
-
     def can_accept(self, instr: DynInstr) -> bool:
-        return instr.static.micro_ops <= self.free_micro_ops
+        return self._occupied + instr.static.micro_ops <= self.size
 
     def insert(self, instr: DynInstr) -> None:
-        if not self.can_accept(instr):
+        occupied = self._occupied + instr.static.micro_ops
+        if occupied > self.size:
             raise RuntimeError("reservation station overflow")
         _insert(self._entries, instr)
         if not instr.pending_sources:
             _insert(self.ready, instr)
-        self._occupied += instr.static.micro_ops
-        self.peak_occupancy = max(self.peak_occupancy, self._occupied)
+        self._occupied = occupied
+        if occupied > self.peak_occupancy:
+            self.peak_occupancy = occupied
 
     def wake(self, instr: DynInstr) -> None:
         """Move a waiting entry whose last producer just broadcast onto

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.isa.instructions import OpClass
 from repro.pipeline.dyninstr import DynInstr, Phase
 
 
@@ -104,8 +103,9 @@ class ROB:
 
     ``loads``, ``stores`` and ``branches`` (conditional only) index the
     entries of each kind, oldest first; every method that changes the
-    window keeps them equal to the filtered entries.  They are
-    read-only outside this class.
+    window keeps them equal to the filtered entries, filing an entry by
+    its instruction's decoded ``is_load``/``is_store``/``cond_branch``.
+    They are read-only outside this class.
     """
 
     def __init__(self, size: int) -> None:
@@ -135,32 +135,30 @@ class ROB:
     def head(self) -> Optional[DynInstr]:
         return self._entries[0] if self._entries else None
 
-    def _index_of(self, instr: DynInstr) -> Optional[Deque[DynInstr]]:
-        static = instr.static
-        oc = static.opclass
-        if oc is OpClass.LOAD:
-            return self.loads
-        if oc is OpClass.STORE:
-            return self.stores
-        if oc is OpClass.BRANCH and not static.unconditional:
-            return self.branches
-        return None
-
     def push(self, instr: DynInstr) -> None:
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.size:
             raise RuntimeError("ROB overflow")
-        if self._entries and instr.seq <= self._entries[-1].seq:
+        if entries and instr.seq <= entries[-1].seq:
             raise RuntimeError("ROB entries must arrive in program order")
-        self._entries.append(instr)
-        index = self._index_of(instr)
-        if index is not None:
-            index.append(instr)
+        entries.append(instr)
+        static = instr.static
+        if static.is_load:
+            self.loads.append(instr)
+        elif static.is_store:
+            self.stores.append(instr)
+        elif static.cond_branch:
+            self.branches.append(instr)
 
     def pop_head(self) -> DynInstr:
         head = self._entries.popleft()
-        index = self._index_of(head)
-        if index is not None:
-            index.popleft()
+        static = head.static
+        if static.is_load:
+            self.loads.popleft()
+        elif static.is_store:
+            self.stores.popleft()
+        elif static.cond_branch:
+            self.branches.popleft()
         return head
 
     def squash_younger_than(self, seq: int) -> List[DynInstr]:

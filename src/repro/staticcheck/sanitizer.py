@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
+from repro.isa.instructions import OpClass
 from repro.pipeline.dyninstr import DynInstr, Phase, SourceOperand
 from repro.pipeline.lsu import LS_PARKED_FWD
 from repro.pipeline.rob import SafetyFlags
@@ -265,10 +266,17 @@ class InvariantSanitizer:
     def _check_rob_indices(self, core: "Core") -> None:
         self.invariant_checks += 1
         rob = core.rob
+        # Computed from the opclass, not from the decoded facts that
+        # ROB.push reads, so a wrong decode shows up here.
         for name, index, keep in (
-            ("load", rob.loads, lambda e: e.is_load),
-            ("store", rob.stores, lambda e: e.is_store),
-            ("branch", rob.branches, lambda e: e.is_branch and not e.static.unconditional),
+            ("load", rob.loads, lambda e: e.static.opclass is OpClass.LOAD),
+            ("store", rob.stores, lambda e: e.static.opclass is OpClass.STORE),
+            (
+                "branch",
+                rob.branches,
+                lambda e: e.static.opclass is OpClass.BRANCH
+                and not e.static.unconditional,
+            ),
         ):
             expected = [e for e in rob if keep(e)]
             if len(index) != len(expected) or any(

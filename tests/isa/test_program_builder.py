@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.isa.instructions import OpClass
+from repro.isa.instructions import OpClass, nop
 from repro.isa.program import Program
 
 
@@ -55,6 +55,13 @@ class TestProgramBuilder:
         assert prog.address_of_slot(0) == prog.code_base
         assert prog.address_of_slot(2) == prog.code_base + 2 * prog.inst_size
         assert prog.slot_of_address(prog.code_base + 4) == 1
+
+    @pytest.mark.parametrize("code_base, inst_size", [(0x40_0000, 4), (0x1000, 8)])
+    def test_slot_addresses_follow_address_of_slot(self, code_base, inst_size):
+        prog = Program([nop() for _ in range(5)], code_base=code_base, inst_size=inst_size)
+        assert list(prog.slot_addresses()) == [
+            prog.address_of_slot(slot) for slot in range(len(prog))
+        ]
 
     def test_address_alignment_check(self):
         prog = simple_program()

@@ -1,11 +1,13 @@
 """Invariant sanitizer: clean runs stay silent, seeded breakage raises."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.harness import begin_victim_trial, run_victim_trial
 from repro.core.victims import victim_by_name
+from repro.isa.instructions import OpClass
 from repro.pipeline.execution_unit import ExecutionUnit
 from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.scheme_api import LoadDecision
@@ -120,6 +122,25 @@ class TestSeededViolations:
         core.rob.loads.pop()
         with pytest.raises(InvariantViolation, match="ROB load index drifted"):
             InvariantSanitizer().check_core(core)
+
+    def test_load_decoded_as_other_kind_raises(self):
+        """ROB.push files an entry by its decoded facts, while the
+        reference filters by opclass: a load whose decoded ``is_load``
+        is wrong is caught once it sits in the ROB."""
+        spec = victim_by_name("gdnpeu")
+        program = spec.program
+        slot = next(
+            i for i, inst in enumerate(program) if inst.opclass is OpClass.LOAD
+        )
+        misdecoded = dataclasses.replace(program.at(slot))
+        object.__setattr__(misdecoded, "is_load", False)
+        instructions = list(program.instructions)
+        instructions[slot] = misdecoded
+        spec = dataclasses.replace(
+            spec, program=dataclasses.replace(program, instructions=instructions)
+        )
+        with pytest.raises(InvariantViolation, match="ROB load index drifted"):
+            run_victim_trial(spec, "unsafe", 1, sanitize=True)
 
     def test_rs_out_of_order_raises(self):
         core = self.mid_run_core()
