@@ -109,15 +109,7 @@ def prepare_machine(
     hierarchy.memory.write(spec.secret_addr, secret)
 
     # Warm the victim's I-side except deliberately cold lines.
-    cold = set(spec.cold_ilines)
-    ilines = set()
-    for slot in range(len(spec.program)):
-        addr = spec.program.address_of_slot(slot)
-        ilines.add(addr & ~(LINE - 1))
-    for line in sorted(ilines - cold):
-        hierarchy.llc.fill(line, update=False)
-        hierarchy.l2[VICTIM_CORE].fill(line, update=False)
-        hierarchy.l1i[VICTIM_CORE].fill(line, update=False)
+    machine.warm_icache(VICTIM_CORE, spec.program, cold=spec.cold_ilines)
 
     # Prime the victim-side data lines (stand-in for a warm-up victim
     # invocation), then flush the attacker-flushed lines.

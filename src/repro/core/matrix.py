@@ -31,13 +31,7 @@ from repro.pipeline.core import DeadlockError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runner import SweepRunner
-from repro.core.victims import (
-    ADDR_REF,
-    VictimSpec,
-    gdmshr_victim,
-    gdnpeu_victim,
-    girs_victim,
-)
+from repro.core.victims import ADDR_REF, VictimSpec, victim_by_name
 
 #: Minimum secret-induced shift (cycles) to call a cell vulnerable.
 MARGIN = 8
@@ -165,17 +159,14 @@ class MatrixCell:
 
 
 def _victim_for(gadget: str, ordering: str) -> Optional[VictimSpec]:
-    if gadget == "gdnpeu":
-        if ordering in ("vd-vd", "vd-ad"):
-            return gdnpeu_victim(variant="vd-vd")
-        return gdnpeu_victim(variant="vi-ad")
-    if gadget == "gdmshr":
-        if ordering in ("vd-vd", "vd-ad"):
-            return gdmshr_victim(variant="vd-vd")
-        return gdmshr_victim(variant="vi-ad")
+    """The cell's victim, through the registry so every cell and sweep
+    of the process shares one build of it."""
+    if gadget in ("gdnpeu", "gdmshr"):
+        variant = "vd-vd" if ordering in ("vd-vd", "vd-ad") else "vi-ad"
+        return victim_by_name(gadget, variant=variant)
     if gadget == "girs":
         if ordering == "vi-ad":
-            return girs_victim()
+            return victim_by_name("girs")
         return None  # GIRS only influences instruction fetches (§3.2.2)
     raise ValueError(f"unknown gadget {gadget}")
 

@@ -22,8 +22,11 @@ lines (low sets) and bookkeeping data (middle sets) never touch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
@@ -69,24 +72,32 @@ ADDR_CHASE1 = _addr_in_set(SET_CHASE1)
 ADDR_REF = _addr_in_set(SET_REF)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VictimSpec:
-    """Everything a harness needs to run one interference victim."""
+    """Everything a harness needs to run one interference victim.
+
+    Frozen, with tuple sequences and read-only mappings (lists and
+    dicts passed in are copied), so :func:`victim_by_name` can hand one
+    built victim to every trial, analysis and sweep in the process.
+    Make a variant with :func:`dataclasses.replace`.  Equality is
+    identity: two builds of a victim hold distinct lambdas and never
+    compared equal field by field anyway.
+    """
 
     name: str
     gadget: str  # "gdnpeu" | "gdmshr" | "girs"
     ordering: str  # "vd-vd" | "vd-ad" | "vi-ad" | ...
     program: Program
-    registers: Dict[str, int]
-    memory_image: Dict[int, int]
+    registers: Mapping[str, int]
+    memory_image: Mapping[int, int]
     #: Static slot of the branch the attacker mistrains (taken).
     branch_slot: int
     #: The attacker-controlled secret bit lives at this address.
     secret_addr: int
     #: Lines pre-installed in the victim's L1-D before each run.
-    prime_l1: List[int]
+    prime_l1: Tuple[int, ...]
     #: Lines flushed system-wide before each run.
-    flush_lines: List[int]
+    flush_lines: Tuple[int, ...]
     #: Monitored unprotected victim data access (VD).
     line_a: Optional[int] = None
     #: Reference victim data access (second VD), if any.
@@ -94,10 +105,17 @@ class VictimSpec:
     #: Label whose I-line is monitored (VI), if any.
     target_label: Optional[str] = None
     #: I-lines to leave cold when pre-warming the victim's I-cache.
-    cold_ilines: List[int] = field(default_factory=list)
+    cold_ilines: Tuple[int, ...] = ()
     #: Per-victim core configuration (GIRS shrinks the RS).
     core_config: Optional[CoreConfig] = None
     notes: str = ""
+
+    def __post_init__(self) -> None:
+        freeze = object.__setattr__
+        freeze(self, "registers", MappingProxyType(dict(self.registers)))
+        freeze(self, "memory_image", MappingProxyType(dict(self.memory_image)))
+        for name in ("prime_l1", "flush_lines", "cold_ilines"):
+            freeze(self, name, tuple(getattr(self, name)))
 
     @property
     def target_iline(self) -> Optional[int]:
@@ -721,20 +739,26 @@ def girs_victim(
 #: of lambdas and is therefore unpicklable — parallel sweep workers
 #: rebuild it from ``(name, kwargs)`` on their side of the process
 #: boundary instead.
-def _forward_factory(name: str):
-    """Lazy indirection for the forward family: ``repro.workloads.forward``
-    imports this module for the shared address constants, so its factories
-    are resolved at call time rather than import time."""
+class _ForwardFactory:
+    """Lazy registry entry for the forward family:
+    ``repro.workloads.forward`` imports this module for the shared
+    address constants, so its factories are resolved at call time
+    rather than import time."""
 
-    def build(**kwargs) -> VictimSpec:
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def resolve(self) -> Callable[..., VictimSpec]:
+        """The forward factory this entry calls today."""
         from repro.workloads.forward import FORWARD_VICTIM_FACTORIES
 
-        return FORWARD_VICTIM_FACTORIES[name](**kwargs)
+        return FORWARD_VICTIM_FACTORIES[self.name]
 
-    return build
+    def __call__(self, **kwargs: Any) -> VictimSpec:
+        return self.resolve()(**kwargs)
 
 
-VICTIM_FACTORIES = {
+VICTIM_FACTORIES: Dict[str, Callable[..., VictimSpec]] = {
     "gdnpeu": gdnpeu_victim,
     "gdmshr": gdmshr_victim,
     "girs": girs_victim,
@@ -742,18 +766,82 @@ VICTIM_FACTORIES = {
     "gdnpeu-architectural": gdnpeu_architectural_victim,
     "gdnpeu-store": gdnpeu_store_victim,
     "gdnpeu-occupancy": gdnpeu_occupancy_victim,
-    "fwd-eu": _forward_factory("fwd-eu"),
-    "fwd-mshr": _forward_factory("fwd-mshr"),
-    "fwd-rs": _forward_factory("fwd-rs"),
+    "fwd-eu": _ForwardFactory("fwd-eu"),
+    "fwd-mshr": _ForwardFactory("fwd-mshr"),
+    "fwd-rs": _ForwardFactory("fwd-rs"),
 }
 
+#: Most victims :func:`victim_by_name` keeps built at once, least
+#: recently used out first.  Table 1, the forward grid and the
+#: reconciliation use 14; the bound stops a sweep over kwargs from
+#: growing the memo without limit.
+VICTIM_MEMO_SIZE = 64
 
-def victim_by_name(name: str, **kwargs) -> VictimSpec:
-    """Build a victim from its registry name (picklable reference)."""
+_victims: "OrderedDict[Tuple[Any, ...], VictimSpec]" = OrderedDict()
+_victims_lock = threading.Lock()
+
+
+class _Unkeyable(Exception):
+    """A kwarg value outside plain data: the victim is built unshared."""
+
+
+def _canonical(value: Any) -> Tuple[Any, ...]:
+    """Hashable form of one kwarg value that keeps its exact type:
+    ``1``, ``1.0`` and ``True`` (equal, and equally hashed, in Python),
+    or a list and a tuple of the same items, never share a victim.
+    Covers what the service codec decodes: ``None``, bools, ints,
+    floats and strings, in tuples, lists and dicts."""
+    kind = type(value)
+    if kind is float:
+        # repr keeps -0.0 apart from 0.0, which compare equal.
+        return (kind, repr(value))
+    if kind in (bool, int, str, type(None)):
+        return (kind, value)
+    if kind in (tuple, list):
+        return (kind, tuple(_canonical(item) for item in value))
+    if kind is dict:
+        return (
+            kind,
+            tuple((_canonical(k), _canonical(v)) for k, v in value.items()),
+        )
+    raise _Unkeyable(kind.__name__)
+
+
+def victim_by_name(name: str, **kwargs: Any) -> VictimSpec:
+    """The victim a registry name and factory kwargs describe (the
+    picklable reference sweep specs carry).
+
+    Built once per process: calls with equal kwargs share one immutable
+    :class:`VictimSpec` while it stays among the
+    :data:`VICTIM_MEMO_SIZE` most recently used.  The memo keys on the
+    factory the registry entry calls, so a patched entry is never
+    served a victim built by the one it replaced.  Kwargs that are not
+    plain data build an unshared victim.
+    """
     try:
         factory = VICTIM_FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown victim '{name}'; known: {', '.join(sorted(VICTIM_FACTORIES))}"
         ) from None
-    return factory(**kwargs)
+    if isinstance(factory, _ForwardFactory):
+        factory = factory.resolve()
+    try:
+        key = (
+            factory,
+            tuple(sorted((k, _canonical(v)) for k, v in kwargs.items())),
+        )
+    except _Unkeyable:
+        return factory(**kwargs)
+    with _victims_lock:
+        victim = _victims.get(key)
+        if victim is not None:
+            _victims.move_to_end(key)
+            return victim
+    victim = factory(**kwargs)
+    with _victims_lock:
+        # A thread that built the same victim meanwhile stored it first.
+        victim = _victims.setdefault(key, victim)
+        while len(_victims) > VICTIM_MEMO_SIZE:
+            _victims.popitem(last=False)
+    return victim

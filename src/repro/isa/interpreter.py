@@ -11,7 +11,7 @@ constructing the paper's ``NoSpec(E)`` executions (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, MutableMapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.isa.instructions import OpClass
 from repro.isa.program import Program
@@ -47,8 +47,8 @@ class Interpreter:
     def run(
         self,
         *,
-        registers: Optional[MutableMapping[str, int]] = None,
-        memory: Optional[MutableMapping[int, int]] = None,
+        registers: Optional[Mapping[str, int]] = None,
+        memory: Optional[Mapping[int, int]] = None,
     ) -> InterpreterResult:
         regs: Dict[str, int] = dict(registers or {})
         mem: Dict[int, int] = dict(memory or {})

@@ -10,7 +10,8 @@ instructions on their own cache lines via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.isa.instructions import Instruction, OpClass
 
@@ -20,9 +21,14 @@ DEFAULT_INST_SIZE = 4
 DEFAULT_CODE_BASE = 0x40_0000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """An immutable, fully resolved program.
+
+    Frozen: ``instructions`` is stored as a tuple and ``labels`` as a
+    read-only mapping, whatever sequence and dict the caller passed, so
+    one program can be shared by every trial and analysis that runs it.
+    Make a variant with :func:`dataclasses.replace`.
 
     Attributes:
         instructions: instruction at each slot (``None`` slots never occur;
@@ -32,12 +38,18 @@ class Program:
         inst_size: bytes per instruction slot.
     """
 
-    instructions: List[Instruction]
-    labels: Dict[str, int] = field(default_factory=dict)
+    instructions: Tuple[Instruction, ...]
+    labels: Mapping[str, int] = field(default_factory=dict)
     code_base: int = DEFAULT_CODE_BASE
     inst_size: int = DEFAULT_INST_SIZE
+    #: :meth:`warm_lines` results by (line size, cold lines).
+    _warm_lines: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         for label, slot in self.labels.items():
             if not 0 <= slot <= len(self.instructions):
                 raise ValueError(f"label {label!r} out of range: {slot}")
@@ -86,6 +98,25 @@ class Program:
             self.address_of_slot(len(self.instructions)),
             self.inst_size,
         )
+
+    def warm_lines(self, line_size: int, cold: Iterable[int] = ()) -> Tuple[int, ...]:
+        """The ``line_size``-byte lines holding the program's code, in
+        address order, less the lines of the ``cold`` addresses: what a
+        warm-up run leaves in the I-side.  The one definition behind
+        :meth:`~repro.system.machine.Machine.warm_icache` (which the
+        trial harness calls) and the symbolic executor's initial
+        I-side.  Derived once per (line size, cold lines): the program
+        is immutable."""
+        key = (line_size, tuple(cold))
+        lines = self._warm_lines.get(key)
+        if lines is None:
+            mask = ~(line_size - 1)
+            skip = {addr & mask for addr in key[1]}
+            lines = tuple(
+                sorted({addr & mask for addr in self.slot_addresses()} - skip)
+            )
+            self._warm_lines[key] = lines
+        return lines
 
     def slot_of_address(self, addr: int) -> int:
         offset = addr - self.code_base

@@ -21,12 +21,13 @@ dropped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.harness import run_victim_trial
 from repro.core.matrix import MARGIN, Signal, leak_signals
-from repro.core.victims import VictimSpec
+from repro.core.victims import VICTIM_MEMO_SIZE, VictimSpec
 from repro.staticcheck.report import (
     FAMILY_GDMSHR,
     FAMILY_GDNPEU,
@@ -139,6 +140,21 @@ class ReconcileRow:
         return bool(self.static_families)
 
 
+@functools.lru_cache(maxsize=VICTIM_MEMO_SIZE)
+def static_families(spec: VictimSpec) -> Tuple[str, ...]:
+    """The sorted detector families that fire on ``spec``: the
+    scheme-independent static column of :class:`ReconcileRow`.
+
+    Analyzed once per victim while it stays among the most recently
+    used; the memo keys on the victim object itself (identity equality)
+    and holds it, so a key can never be a recycled object."""
+    # Looked up at call time, so a wrapped analyze_victim sees the call.
+    from repro.staticcheck import analyzer
+
+    report = analyzer.analyze_victim(spec)
+    return tuple(sorted({f.family for f in report.findings}))
+
+
 def reconcile_verdicts(
     victims: Optional[List[str]] = None,
     schemes: Optional[List[str]] = None,
@@ -163,7 +179,6 @@ def reconcile_verdicts(
     # module-level import would be circular through our __init__.
     from repro.core.victims import VICTIM_FACTORIES, victim_by_name
     from repro.schemes.registry import SCHEME_FACTORIES
-    from repro.staticcheck.analyzer import analyze_victim
     from repro.symni.checker import STATUS_CLEAN, check_victim
 
     victim_names = list(victims) if victims else sorted(VICTIM_FACTORIES)
@@ -171,9 +186,7 @@ def reconcile_verdicts(
     rows: List[ReconcileRow] = []
     for victim in victim_names:
         spec = victim_by_name(victim)
-        static_families = tuple(
-            sorted({f.family for f in analyze_victim(spec).findings})
-        )
+        families = static_families(spec)
         for scheme in scheme_names:
             verdict = check_victim(victim, scheme, replay=replay)
             signals = dynamic_signals(
@@ -181,7 +194,7 @@ def reconcile_verdicts(
             )
             symbolic_leak = verdict.status != STATUS_CLEAN
             dynamic_leak = bool(signals)
-            if symbolic_leak and dynamic_leak and not static_families:
+            if symbolic_leak and dynamic_leak and not families:
                 agreement = STATIC_MISS
                 detail = (
                     "static false negative: leak confirmed "
@@ -220,7 +233,7 @@ def reconcile_verdicts(
                     ),
                     agreement=agreement,
                     detail=detail,
-                    static_families=static_families,
+                    static_families=families,
                 )
             )
     return rows

@@ -44,7 +44,7 @@ Everything is bounded (:class:`CheckBounds`); hitting a bound sets
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.victims import ATTACK_HIERARCHY, VictimSpec
 from repro.isa.instructions import Instruction, OpClass
@@ -157,8 +157,8 @@ class SymniExecutor:
         model: SchemeModel,
         *,
         secret_addr: int,
-        registers: Optional[Dict[str, int]] = None,
-        memory_image: Optional[Dict[int, int]] = None,
+        registers: Optional[Mapping[str, int]] = None,
+        memory_image: Optional[Mapping[int, int]] = None,
         prime_l1: Sequence[int] = (),
         flush_lines: Sequence[int] = (),
         cold_ilines: Sequence[int] = (),
@@ -186,15 +186,10 @@ class SymniExecutor:
         # Initial cache warmth mirrors the trial harness: warm every
         # program I-line except the deliberately cold ones, prime the
         # spec's data lines, then apply the flushes.
-        warm_inst = {
-            _line_of(program.address_of_slot(slot))
-            for slot in range(len(program))
-        } - {_line_of(line) for line in cold_ilines}
-        warm_data = {_line_of(a) for a in prime_l1} - {
+        self._init_warm_inst = program.warm_lines(LINE, cold_ilines)
+        self._init_warm_data = {_line_of(a) for a in prime_l1} - {
             _line_of(a) for a in flush_lines
         }
-        self._init_warm_inst = warm_inst
-        self._init_warm_data = warm_data
         self._older_context_cache: Dict[int, OlderContext] = {}
 
     @classmethod

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.isa.program import Program
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
@@ -189,15 +189,15 @@ class Machine:
         return all(core.halted for core in self.cores.values())
 
     # ------------------------------------------------------------------
-    def warm_icache(self, core_id: int, program: Program) -> None:
-        """Pre-fill a core's I-side for every program line, bypassing the
-        visible-access log (stand-in for a prior warm-up run)."""
+    def warm_icache(
+        self, core_id: int, program: Program, *, cold: Iterable[int] = ()
+    ) -> None:
+        """Pre-fill a core's I-side for every program line except the
+        lines of ``cold`` addresses (:meth:`Program.warm_lines`),
+        bypassing the visible-access log (stand-in for a prior warm-up
+        run)."""
         line_size = self.hierarchy.llc.layout.line_size
-        lines = set()
-        for slot in range(len(program)):
-            addr = program.address_of_slot(slot)
-            lines.add(addr & ~(line_size - 1))
-        for line in sorted(lines):
+        for line in program.warm_lines(line_size, cold):
             self.hierarchy.llc.fill(line, update=False)
             self.hierarchy.l2[core_id].fill(line, update=False)
             self.hierarchy.l1i[core_id].fill(line, update=False)

@@ -6,6 +6,8 @@
   (lfence-style) closes the window even on the unsafe machine.
 """
 
+import dataclasses
+
 from repro.core.harness import prepare_machine
 from repro.core.receivers import QLRUReceiver
 from repro.core.victims import gdnpeu_victim
@@ -60,11 +62,15 @@ class TestSoftwareFence:
     def run_orders(self, mutate=None):
         spec = gdnpeu_victim()
         if mutate:
-            spec.program = mutate(spec.program)
-            spec.branch_slot = next(
-                s
-                for s, inst in enumerate(spec.program)
-                if inst.name == "victim branch"
+            program = mutate(spec.program)
+            spec = dataclasses.replace(
+                spec,
+                program=program,
+                branch_slot=next(
+                    s
+                    for s, inst in enumerate(program)
+                    if inst.name == "victim branch"
+                ),
             )
         orders = []
         for secret in (0, 1):
