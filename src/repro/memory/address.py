@@ -9,7 +9,12 @@ needs: a deterministic many-to-one mapping the attacker can invert).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+#: Bound on the geometries :func:`shared_layout` keeps; a process uses a
+#: handful (one per cache level of each hierarchy configuration).
+LAYOUT_MEMO_SIZE = 128
 
 
 def _is_pow2(n: int) -> bool:
@@ -18,7 +23,11 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class AddressLayout:
-    """Line/set/slice arithmetic for one cache geometry."""
+    """Line/set/slice arithmetic for one cache geometry.
+
+    Immutable and free of mutable state, so every cache of one geometry
+    can share one instance (:func:`shared_layout`).
+    """
 
     line_size: int = 64
     num_sets: int = 64
@@ -41,9 +50,6 @@ class AddressLayout:
         object.__setattr__(
             self, "_tag_shift", self._offset_bits + self._set_bits
         )
-        #: line-id -> flat set index memo (the decomposition of an
-        #: address never changes, and workloads reuse a small line set).
-        object.__setattr__(self, "_global_set_cache", {})
 
     @property
     def offset_bits(self) -> int:
@@ -52,6 +58,10 @@ class AddressLayout:
     @property
     def set_bits(self) -> int:
         return self._set_bits
+
+    @property
+    def set_mask(self) -> int:
+        return self._set_mask
 
     def line_addr(self, addr: int) -> int:
         """Address of the cache line containing ``addr``."""
@@ -78,14 +88,10 @@ class AddressLayout:
 
     def global_set(self, addr: int) -> int:
         """Flat set index across all slices (slice-major)."""
-        line_id = addr >> self._offset_bits
-        cached = self._global_set_cache.get(line_id)
-        if cached is None:
-            cached = self._global_set_cache.setdefault(
-                line_id,
-                self.slice_id(addr) * self.num_sets + (line_id & self._set_mask),
-            )
-        return cached
+        line_set = (addr >> self._offset_bits) & self._set_mask
+        if self.num_slices == 1:
+            return line_set
+        return self.slice_id(addr) * self.num_sets + line_set
 
     def same_set(self, a: int, b: int) -> bool:
         """True when two addresses map to the same slice and set."""
@@ -111,3 +117,16 @@ class AddressLayout:
                 if found == n:
                     return addr
         raise RuntimeError("failed to find a congruent address")
+
+
+def shared_layout(line_size: int, num_sets: int, num_slices: int = 1) -> AddressLayout:
+    """The one :class:`AddressLayout` of this geometry in this process
+    (equal geometries return the same instance while it stays among the
+    :data:`LAYOUT_MEMO_SIZE` most recently used)."""
+    return _shared_layout(line_size, num_sets, num_slices)
+
+
+@functools.lru_cache(maxsize=LAYOUT_MEMO_SIZE)
+def _shared_layout(line_size: int, num_sets: int, num_slices: int) -> AddressLayout:
+    # Positional only, so keyword and positional calls share one entry.
+    return AddressLayout(line_size=line_size, num_sets=num_sets, num_slices=num_slices)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.memory.address import AddressLayout
+from repro.memory.address import AddressLayout, shared_layout
 from repro.memory.replacement import SetPolicy, policy_factory
 from repro.trace.events import EventKind
 
@@ -71,6 +71,36 @@ class _CacheSet:
         return [line is not None for line in self.lines]
 
 
+def _global_set_lookup(layout: AddressLayout) -> Callable[[int], int]:
+    """``layout.global_set`` for one cache's hot path.
+
+    One slice: the set index is two integer operations.  Several: the
+    slice hash is memoized per line in a dict this cache owns (the
+    decomposition of an address never changes, and a trial reuses a
+    small line set); the shared layout itself keeps no state.  A closure
+    rather than a bound method, so a cache holds no reference to itself.
+    """
+    offset_bits = layout.offset_bits
+    set_mask = layout.set_mask
+    if layout.num_slices == 1:
+
+        def flat_set(addr: int) -> int:
+            return (addr >> offset_bits) & set_mask
+
+        return flat_set
+    memo: Dict[int, int] = {}
+    slow = layout.global_set
+
+    def sliced_set(addr: int) -> int:
+        line_id = addr >> offset_bits
+        index = memo.get(line_id)
+        if index is None:
+            index = memo[line_id] = slow(addr)
+        return index
+
+    return sliced_set
+
+
 class Cache:
     """A single cache level (state only; no latency).
 
@@ -101,19 +131,18 @@ class Cache:
         self.name = name
         self.num_ways = num_ways
         self.policy_name = policy
-        self.layout = AddressLayout(
-            line_size=line_size, num_sets=num_sets, num_slices=num_slices
-        )
-        # Resolved once per cache; each built set calls it for its policy.
+        #: Shared by every cache of this geometry (immutable).
+        self.layout: AddressLayout = shared_layout(line_size, num_sets, num_slices)
+        # Resolved (and validated) once per (policy, ways); each built set
+        # calls it for its policy.
         self._new_policy = policy_factory(policy, num_ways, rng=rng)
-        self._new_policy()  # a bad policy or way count fails here, not on a fill
         self._sets: List[Optional[_CacheSet]] = [None] * (num_sets * num_slices)
         # Hot-path bindings: access()/fill()/contains() run once per
         # simulated memory reference, so resolve the layout arithmetic
-        # (line mask, memoized global-set lookup) once here instead of
-        # through two attribute hops per call.
+        # (line mask, global-set lookup) once here instead of through two
+        # attribute hops per call.
         self._line_mask = ~(line_size - 1)
-        self._global_set = self.layout.global_set
+        self._global_set = _global_set_lookup(self.layout)
         self.stats = CacheStats()
         #: Called with the evicted line address on every eviction
         #: (the hierarchy uses it to enforce LLC inclusivity).
@@ -134,6 +163,12 @@ class Cache:
     def _build_set(self, index: int) -> _CacheSet:
         cset = self._sets[index] = _CacheSet(self.num_ways, self._new_policy())
         return cset
+
+    def holds(self, addr: int) -> bool:
+        """Pure lookup that, unlike :meth:`contains`, consults no
+        observer: for the hierarchy's own bookkeeping."""
+        cset = self._sets[self._global_set(addr)]
+        return cset is not None and cset.way_of(addr & self._line_mask) is not None
 
     def contains(self, addr: int) -> bool:
         """Pure lookup: no state change, no stats."""

@@ -340,13 +340,19 @@ class CacheHierarchy:
         return touched
 
     def flush(self, addr: int) -> None:
-        """clflush: drop the line from every cache in the system."""
+        """clflush: drop the line from every cache in the system.
+
+        Private caches first, then the LLC.  With an inclusive LLC (the
+        default) a line the LLC does not hold is in no private cache
+        either, so the invalidations stop there; the coherence hook and
+        the observer see every flush."""
         line = self.llc.layout.line_addr(addr)
-        for c in range(self.num_cores):
-            self.l1i[c].invalidate(line)
-            self.l1d[c].invalidate(line)
-            self.l2[c].invalidate(line)
-        self.llc.invalidate(line)
+        if self.llc.holds(line) or not self.config.inclusive_llc:
+            for c in range(self.num_cores):
+                self.l1i[c].invalidate(line)
+                self.l1d[c].invalidate(line)
+                self.l2[c].invalidate(line)
+            self.llc.invalidate(line)
         if self.coherence is not None:
             self.coherence.on_flush(line)
         observer = self.observer

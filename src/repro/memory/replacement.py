@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
+
+#: Bound on the (policy, ways) pairs :func:`policy_factory` keeps resolved.
+POLICY_MEMO_SIZE = 64
 
 
 class SetPolicy(ABC):
@@ -236,14 +239,24 @@ class TreePLRUPolicy(SetPolicy):
 def policy_factory(
     name: str, num_ways: int, *, rng: Optional[random.Random] = None
 ) -> Callable[[], SetPolicy]:
-    """Resolve ``name`` once; the result builds a fresh per-set policy
-    on each call.  An unknown name raises here; a bad way count raises
-    on the first build."""
-    from repro.memory.qlru import QLRUPolicy  # local import avoids a cycle
+    """A builder of fresh per-set policies named ``name``.  An unknown
+    name or a bad way count raises here, not on the first build.
 
+    Each non-random (name, ways) pair is resolved and validated once per
+    process and its builder shared; ``random`` binds ``rng``, the RNG of
+    the hierarchy asking, so it is resolved per call."""
     name = name.lower()
     if name == "random":
-        return partial(RandomPolicy, num_ways, rng=rng)
+        factory = partial(RandomPolicy, num_ways, rng=rng)
+        factory()  # validate the way count (draws nothing from rng)
+        return factory
+    return _resolved_policy(name, num_ways)
+
+
+@lru_cache(maxsize=POLICY_MEMO_SIZE)
+def _resolved_policy(name: str, num_ways: int) -> Callable[[], SetPolicy]:
+    from repro.memory.qlru import QLRUPolicy  # local import avoids a cycle
+
     cls = {
         "lru": LRUPolicy,
         "nru": NRUPolicy,
@@ -253,7 +266,9 @@ def policy_factory(
     }.get(name)
     if cls is None:
         raise ValueError(f"unknown replacement policy {name!r}")
-    return partial(cls, num_ways)
+    factory = partial(cls, num_ways)
+    factory()
+    return factory
 
 
 def make_policy(

@@ -27,6 +27,12 @@ A stepped cycle does work per due event.  The safety frontier is built
 once per step, after fetch, and carried to the next cycle, whose stages
 and whose :meth:`Core.next_event_cycle` check both read it; nothing
 between two steps moves the ROB, so it is the start-of-cycle frontier.
+A stage is called only when it can act: safety while the youngest ROB
+load has not become safe, retire when the ROB head has completed, the
+parked-load retry when a load is parked or a wake event is pending,
+dispatch when the fetch queue holds an instruction, and fetch while a
+redirect is pending or HALT has not been fetched.  Writeback and issue
+run every stepped cycle.
 Each execution unit and the LSU keep ``next_finish``, their earliest
 in-flight finish cycle, so writeback drains only the units due this
 cycle and the fast-forward check reads each unit's next completion in
@@ -240,14 +246,27 @@ class Core:
             self.fault_injector.on_core_cycle(self)
         if self.halted:
             return
-        self._update_safety()
-        self._retire()
-        self._writeback()
-        self.lsu.retry_parked(self, cycle)
+        # A stage is called only when it can act; each skipped call is
+        # one that would return having changed no state and no counter.
+        rob = self.rob
+        loads = rob.loads
+        if loads and not loads[-1].became_safe:
+            # Became-safe loads form a prefix of ``rob.loads``, so a safe
+            # youngest load means there is no transition left to fire.
+            self._update_safety()
+        head = rob.head()
+        if head is not None and head.phase is Phase.COMPLETED:
+            self._retire()
+        self._writeback()  # always: it ticks busy units' busy_cycles
+        lsu = self.lsu
+        if lsu._parked or lsu._wake_lines or lsu._became_safe:
+            lsu.retry_parked(self, cycle)
         self._issue()
-        self._dispatch()
-        self._fetch()
-        self.safety_flags = self.rob.safety_flags()
+        if self.fetch_queue:
+            self._dispatch()
+        if self._pending_redirect is not None or not self._halt_seen:
+            self._fetch()
+        self.safety_flags = rob.safety_flags()
         if (
             self.rob.empty
             and not self.fetch_queue

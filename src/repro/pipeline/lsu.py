@@ -297,7 +297,8 @@ class LoadStoreUnit:
         re-evaluation that parks it again would count it.  Each load
         that ends the pass MSHR-parked adds one to
         ``stats_mshr_blocked_cycles``.  The wake events are cleared
-        after the pass.
+        after the pass.  With no load parked and no wake event pending
+        the pass changes nothing, and ``Core.step`` does not call it.
         """
         if self._parked:
             queue = sorted(self._parked, key=lambda l: l.seq)

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.runner import faults
 from repro.runner.runner import run_trial_outcome
 from repro.runner.spec import SweepResult, TrialSpec
+from repro.service import wal
 from repro.service.api import ServiceClient
 from repro.service.codec import result_signature
 from repro.service.lease import LeaseTable
@@ -58,7 +59,9 @@ DEFAULT_MAX_RETRIES = 8
 
 @dataclass(frozen=True)
 class ChaosAction:
-    """One scheduled fault: ``kind`` fired ``at`` seconds into the run."""
+    """One scheduled fault: ``kind`` fired ``at`` seconds into the run,
+    once the daemon has granted its first lease (see
+    :meth:`ChaosHarness.run_job`)."""
 
     kind: str
     at: float
@@ -194,6 +197,10 @@ class ChaosHarness:
         self._mp = multiprocessing.get_context()
         self._daemon: Optional[multiprocessing.process.BaseProcess] = None
         self._incarnations = 0
+        #: Whether the lease journal holds a grant yet, and the offset
+        #: it has been read up to.
+        self._granted = False
+        self._lease_offset = 0
         #: Action log for reporting/tests: (offset, kind, detail).
         self.events: List[Tuple[float, str, str]] = []
 
@@ -236,6 +243,15 @@ class ChaosHarness:
         self._daemon = None
 
     # -- actions --------------------------------------------------------
+    def _work_granted(self) -> bool:
+        """Has any incarnation granted a lease yet?"""
+        if not self._granted:
+            records, self._lease_offset = wal.read_records(
+                os.path.join(self.service_dir, "leases.jsonl"), self._lease_offset
+            )
+            self._granted = any(record.get("event") == "grant" for record in records)
+        return self._granted
+
     def _live_worker_pids(self) -> List[int]:
         daemon = self._daemon
         if daemon is None or daemon.pid is None:
@@ -320,8 +336,13 @@ class ChaosHarness:
         try:
             while True:
                 offset = time.monotonic() - start
-                while pending and pending[0].at <= offset:
-                    self._fire(pending.pop(0), offset)
+                # Faults wait for the first lease grant as well as their
+                # offset: before it there is no worker, lease or cache
+                # entry to hit, and a fast job can finish before any
+                # fixed offset but not before its first grant.
+                if pending and pending[0].at <= offset and self._work_granted():
+                    while pending and pending[0].at <= offset:
+                        self._fire(pending.pop(0), offset)
                 result = self.client.result(job_id)
                 if result is not None:
                     return result

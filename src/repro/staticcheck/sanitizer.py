@@ -16,6 +16,9 @@ cycle boundaries, where every stage has finished its bookkeeping):
   indices behind the safety frontier equal the filtered entries.
 * **Carried safety frontier** — ``core.safety_flags``, built at the
   end of the previous step, equals a fresh ``rob.safety_flags()``.
+* **Became-safe prefix** — the loads whose became-safe transition has
+  fired are a prefix of ``rob.loads``, so ``Core.step`` may skip the
+  safety stage whenever the youngest load has fired.
 * **Completion calendar** — each execution unit's and the LSU's
   ``next_finish`` is the earliest finish cycle of its in-flight work
   (``None`` when idle).
@@ -232,6 +235,7 @@ class InvariantSanitizer:
         self._check_rob_order(core)
         self._check_rob_indices(core)
         self._check_carried_frontier(core)
+        self._check_safe_prefix(core)
         self._check_completion_calendar(core)
         self._check_cdb_order(core)
         self._check_rs_order(core)
@@ -297,6 +301,17 @@ class InvariantSanitizer:
                 core,
                 f"carried safety frontier {core.safety_flags} is stale: "
                 f"the ROB gives {fresh}",
+            )
+
+    def _check_safe_prefix(self, core: "Core") -> None:
+        self.invariant_checks += 1
+        flags = [load.became_safe for load in core.rob.loads]
+        fired = flags.count(True)
+        if any(flags[fired:]):
+            self._fail(
+                core,
+                "became-safe loads are not a prefix of the ROB's loads: "
+                f"{[(load.seq, load.became_safe) for load in core.rob.loads]}",
             )
 
     def _check_completion_calendar(self, core: "Core") -> None:

@@ -23,11 +23,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.matrix import MARGIN
-from repro.core.victims import VICTIM_FACTORIES, victim_by_name
+from repro.core.victims import VICTIM_FACTORIES, VICTIM_MEMO_SIZE, VictimSpec, victim_by_name
 from repro.isa.symbolic import Assignment, SecretSpace
 from repro.pipeline.scheme_api import SpeculationScheme
 from repro.schemes.registry import SCHEME_FACTORIES
@@ -97,6 +98,14 @@ class SchemeVerdict:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=VICTIM_MEMO_SIZE)
+def victim_listing(spec: VictimSpec) -> str:
+    """The victim program's listing, rendered once per victim while it
+    stays among the most recently used (keyed on the victim object
+    itself, which the memo holds, as ``crossval.static_families`` is)."""
+    return spec.program.listing()
+
+
 def check_victim(
     victim: str,
     scheme: Union[str, SchemeModel, SpeculationScheme],
@@ -135,7 +144,7 @@ def check_victim(
     counterexample = Counterexample(
         victim=victim,
         scheme=model.name,
-        program_listing=spec.program.listing(),
+        program_listing=victim_listing(spec),
         assignment0=divergence.assignment0,
         assignment1=divergence.assignment1,
         divergence=divergence,

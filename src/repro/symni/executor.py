@@ -43,10 +43,12 @@ Everything is bounded (:class:`CheckBounds`); hitting a bound sets
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.victims import ATTACK_HIERARCHY, VictimSpec
+from repro.core.victims import ATTACK_HIERARCHY, VICTIM_MEMO_SIZE, VictimSpec
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.program import Program
 from repro.isa.symbolic import Assignment, SecretSpace, SymVal, sym_apply
@@ -148,6 +150,17 @@ def _line_of(addr: int) -> int:
     return addr & ~(LINE - 1)
 
 
+@functools.lru_cache(maxsize=VICTIM_MEMO_SIZE)
+def victim_resources(spec: VictimSpec) -> Mapping[int, ResourceSummary]:
+    """``summarize_resources`` of the victim's program under its core
+    config, as a read-only mapping of frozen summaries.
+
+    Computed once per victim while it stays among the most recently
+    used; like ``crossval.static_families``, the memo keys on the
+    victim object itself (identity equality) and holds it."""
+    return MappingProxyType(summarize_resources(spec.program, spec.core_config))
+
+
 class SymniExecutor:
     """Lockstep two-run product execution of one program + scheme model."""
 
@@ -166,7 +179,11 @@ class SymniExecutor:
         hierarchy_config: Optional[HierarchyConfig] = None,
         space: Optional[SecretSpace] = None,
         bounds: Optional[CheckBounds] = None,
+        resources: Optional[Mapping[int, ResourceSummary]] = None,
     ) -> None:
+        """``resources`` is ``summarize_resources(program, core_config)``
+        when the caller already holds it (:meth:`for_victim` passes the
+        victim's shared one, :func:`victim_resources`)."""
         self.program = program
         self.model = model
         self.secret_addr = secret_addr
@@ -180,8 +197,10 @@ class SymniExecutor:
         self.miss_latency = hierarchy.dram_latency + hierarchy.l1d.latency
         self.mshr_capacity = hierarchy.l1d_mshrs
         self.rs_size = self.core_config.rs_size
-        self.resources: Dict[int, ResourceSummary] = summarize_resources(
-            program, self.core_config
+        self.resources: Mapping[int, ResourceSummary] = (
+            resources
+            if resources is not None
+            else summarize_resources(program, self.core_config)
         )
         # Initial cache warmth mirrors the trial harness: warm every
         # program I-line except the deliberately cold ones, prime the
@@ -215,6 +234,7 @@ class SymniExecutor:
             hierarchy_config=hierarchy_config,
             space=space,
             bounds=bounds,
+            resources=victim_resources(spec),
         )
 
     # ------------------------------------------------------------------

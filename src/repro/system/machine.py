@@ -12,6 +12,10 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core, CycleBudgetError
 from repro.pipeline.scheme_api import SpeculationScheme
 
+#: The core configuration of every machine built without one: frozen,
+#: so one instance serves them all.
+DEFAULT_CORE_CONFIG = CoreConfig()
+
 
 class Machine:
     """N cores sharing one LLC, stepped in lockstep.
@@ -30,7 +34,7 @@ class Machine:
     ) -> None:
         self.hierarchy = CacheHierarchy(num_cores, hierarchy_config)
         self.num_cores = num_cores
-        self.default_core_config = core_config or CoreConfig()
+        self.default_core_config = core_config or DEFAULT_CORE_CONFIG
         self.cores: Dict[int, Core] = {}
         self.cycle = 0
         self._cycle_hooks: List[Callable[[int], None]] = []
@@ -132,61 +136,57 @@ class Machine:
         if fast_forward is None:
             fast_forward = until is None
         start = self.cycle
+        # The run-level deadlock horizon: never skip past it, so the
+        # budget check raises at exactly the cycle stepping would.
+        horizon = start + max_cycles + 1
+        cores = self.cores
         while True:
-            if until is not None and until():
-                return self.cycle
-            if until is None and self.cores and self.all_halted:
-                return self.cycle
-            if self.cycle - start >= max_cycles:
+            cycle = self.cycle
+            if until is not None:
+                if until():
+                    return cycle
+            elif cores:
+                for core in cores.values():
+                    if not core.halted:
+                        break
+                else:
+                    return cycle  # every attached core halted
+            if cycle - start >= max_cycles:
                 raise CycleBudgetError(
                     f"machine exceeded {max_cycles} cycles without finishing",
-                    cycle=self.cycle,
+                    cycle=cycle,
                     context=self.trial_context,
                 )
-            if fast_forward:
-                target = self._fast_forward_target(start, max_cycles)
-                if target is not None:
-                    for core in self.cores.values():
-                        if not core.halted:
-                            core.fast_forward(target)
-                    self.cycle = target
-                    continue
+            if fast_forward and not self._cycle_hooks and self.fault_injector is None:
+                # Jump to the latest cycle every live core can reach
+                # without missing an event: one cycle before the earliest
+                # wake-up of any core or scheduled action.  A core that
+                # must step next cycle (None) stops the jump.
+                wake = horizon
+                live = False
+                for core in cores.values():
+                    if core.halted:
+                        continue
+                    core_wake = core.next_event_cycle()
+                    if core_wake is None:
+                        break
+                    live = True
+                    if core_wake < wake:
+                        wake = core_wake
+                else:
+                    if self._scheduled and self._scheduled[0][0] < wake:
+                        wake = self._scheduled[0][0]
+                    if live and wake - 1 > cycle:
+                        for core in cores.values():
+                            if not core.halted:
+                                core.fast_forward(wake - 1)
+                        self.cycle = wake - 1
+                        continue
             self.step()
-
-    def _fast_forward_target(self, start: int, max_cycles: int) -> Optional[int]:
-        """Latest cycle all attached cores can jump to without missing
-        an event, or None when the next cycle must be simulated."""
-        if self._cycle_hooks or self.fault_injector is not None or not self.cores:
-            return None
-        wake: Optional[int] = None
-        for core in self.cores.values():
-            if core.halted:
-                continue
-            core_wake = core.next_event_cycle()
-            if core_wake is None:
-                return None
-            wake = core_wake if wake is None else min(wake, core_wake)
-        if wake is None:
-            return None  # every core halted
-        if self._scheduled:
-            at_cycle = self._scheduled[0][0]
-            if at_cycle <= self.cycle + 1:
-                return None
-            wake = min(wake, at_cycle)
-        # Do not skip past the run-level deadlock horizon.
-        wake = min(wake, start + max_cycles + 1)
-        target = wake - 1
-        if target <= self.cycle:
-            return None
-        return target
 
     def run_cycles(self, n: int) -> None:
         for _ in range(n):
             self.step()
-
-    @property
-    def all_halted(self) -> bool:
-        return all(core.halted for core in self.cores.values())
 
     # ------------------------------------------------------------------
     def warm_icache(

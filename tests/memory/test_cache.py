@@ -6,7 +6,7 @@ import pytest
 
 from repro.memory import cache as cache_module
 from repro.memory.cache import Cache
-from repro.memory.replacement import POLICY_NAMES, make_policy
+from repro.memory.replacement import POLICY_NAMES, make_policy, policy_factory
 
 
 def make_cache(**kw):
@@ -212,3 +212,27 @@ class TestLazySets:
     def test_bad_policy_or_ways_fail_at_construction(self, policy, num_ways):
         with pytest.raises(ValueError):
             make_cache(num_ways=num_ways, policy=policy)
+
+
+class TestSharedPolicyFactories:
+    def test_a_non_random_pair_resolves_once(self):
+        factory = policy_factory("qlru", 16)
+        assert policy_factory("QLRU", 16) is factory
+        assert policy_factory("qlru", 8) is not factory
+        assert policy_factory("lru", 16) is not factory
+        assert factory() is not factory()  # each set still gets its own
+
+    def test_random_binds_the_rng_of_its_hierarchy(self):
+        rng_a, rng_b = random.Random(1), random.Random(1)
+        a = policy_factory("random", 4, rng=rng_a)
+        b = policy_factory("random", 4, rng=rng_b)
+        assert a is not b
+        assert a()._rng is rng_a and b()._rng is rng_b
+        state = rng_a.getstate()
+        policy_factory("random", 4, rng=rng_a)
+        assert rng_a.getstate() == state  # validating draws nothing
+
+    def test_caches_share_the_resolved_factory(self):
+        a = make_cache(num_sets=4, num_ways=2, policy="plru")
+        b = make_cache(num_sets=8, num_ways=2, policy="plru")
+        assert a._new_policy is b._new_policy

@@ -123,6 +123,16 @@ class TestSeededViolations:
         with pytest.raises(InvariantViolation, match="ROB load index drifted"):
             InvariantSanitizer().check_core(core)
 
+    def test_became_safe_out_of_prefix_raises(self):
+        """A younger load marked safe before an older one: ``Core.step``
+        would then skip the safety stage with a transition still due."""
+        core = self.mid_run_core()
+        loads = core.rob.loads
+        loads[0].became_safe = False
+        loads[-1].became_safe = True
+        with pytest.raises(InvariantViolation, match="not a prefix"):
+            InvariantSanitizer().check_core(core)
+
     def test_load_decoded_as_other_kind_raises(self):
         """ROB.push files an entry by its decoded facts, while the
         reference filters by opclass: a load whose decoded ``is_load``

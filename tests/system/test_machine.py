@@ -1,10 +1,13 @@
 """Tests for the multi-core machine driver."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa import ProgramBuilder
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import DeadlockError
-from repro.system.machine import Machine
+from repro.system.machine import DEFAULT_CORE_CONFIG, Machine
 
 from tests.conftest import small_hierarchy_config
 
@@ -96,3 +99,14 @@ class TestMachine:
         m.attach(0, counting_program(5))
         m.detach(0)
         assert not m.cores
+
+    def test_machines_share_one_frozen_default_core_config(self):
+        a = Machine(1, hierarchy_config=small_hierarchy_config())
+        b = Machine(3)
+        assert a.default_core_config is b.default_core_config is DEFAULT_CORE_CONFIG
+        assert DEFAULT_CORE_CONFIG == CoreConfig()
+        assert a.attach(0, counting_program(2)).config is DEFAULT_CORE_CONFIG
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT_CORE_CONFIG.rob_size = 8
+        own = CoreConfig(rob_size=32)
+        assert Machine(1, core_config=own).default_core_config is own
